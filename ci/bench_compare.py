@@ -37,10 +37,14 @@ come in two characters:
   expensive for its production cadence.
 * scaling.fleet_scaling_efficiency >= 0.8     — machine-independent. The fleet
   sweep normalises each pool mode's speedup by min(threads, hardware threads),
-  so ideal is 1.0 whether the runner has 1 core or 64; dropping below 0.8
-  means the sharded epoch loop stopped scaling (serialisation, queue overhead,
-  imbalance), not that the runner is slow. scaling.deterministic must also be
-  true — a checksum mismatch at 1k sensors is a broken determinism contract.
+  so ideal is 1.0 whether the runner has 2 cores or 64; dropping below 0.8
+  means the epoch loop stopped scaling (serialisation, queue overhead,
+  imbalance), not that the runner is slow. On fewer than 2 hardware threads
+  the bench writes null — no speedup is measurable there — and the gate is
+  skipped with a ::warning rather than passed on a ratio of ~1.0 that could
+  never fail. scaling.deterministic must be true on every runner — a
+  checksum mismatch at 1k or 10k sensors is a broken determinism contract.
+  The 10k completion run's serial-vs-pool speedup is printed, not gated.
 
 Other stage rates are reported but only warn: they feed the artifact for
 trend-watching, not the gate.
@@ -138,12 +142,30 @@ def check_scaling(path):
               "divergent trace checksums across thread counts — the "
               "determinism contract is broken")
         failed = True
-    efficiency = scaling.get("fleet_scaling_efficiency", 0.0)
+    xl = scaling.get("completion_run")
+    if isinstance(xl, dict):
+        print(f"completion run: {xl.get('sensors')} sensors, "
+              f"{xl.get('serial_wall_s', 0.0):.1f} s serial vs "
+              f"{xl.get('wall_s', 0.0):.1f} s on pool({xl.get('threads')}) "
+              f"= {xl.get('speedup', 0.0):.2f}x (reported, not gated)")
+    if "fleet_scaling_efficiency" not in scaling:
+        print(f"::error::{path} has no scaling.fleet_scaling_efficiency — "
+              "stale bench binary or renamed key?")
+        return True
+    efficiency = scaling["fleet_scaling_efficiency"]
+    if efficiency is None:
+        # Fewer than 2 hardware threads: every pool time-slices one core, so
+        # the ratio would be ~1.0 by construction and the gate could not fail.
+        print(f"::warning::fleet_scaling_efficiency is null — the runner has "
+              f"{hw} hardware thread(s), so thread scaling is unmeasurable "
+              "here and the efficiency gate is skipped (determinism is still "
+              "gated)")
+        return failed
     print(f"fleet_scaling_efficiency: {efficiency:.2f} at {sensors} sensors, "
           f"{hw} hardware threads "
           f"(must stay >= {SCALING_EFFICIENCY_FLOOR:.1f}; ideal 1.0)")
     if efficiency < SCALING_EFFICIENCY_FLOOR:
-        print("::error::the sharded fleet epoch loop fell below "
+        print("::error::the fleet epoch loop fell below "
               f"{SCALING_EFFICIENCY_FLOOR:.0%} of ideal thread scaling — "
               "the ratio is normalised by available hardware threads, so "
               "this is a scheduling/serialisation regression, not a slow "

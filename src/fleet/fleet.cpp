@@ -1,13 +1,13 @@
 #include "fleet/fleet.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cmath>
-#include <exception>
 #include <iterator>
+#include <numeric>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -30,12 +30,31 @@ const obs::Histogram kEpochWall{"fleet.epoch_wall_seconds",
                                 obs::HistogramSpec{1e-5, 100.0, 42, true}};
 const obs::Histogram kSensorStepWall{"fleet.sensor_step_wall_seconds",
                                      obs::HistogramSpec{1e-6, 10.0, 42, true}};
-// Sharding telemetry: how often the planner ran and how balanced its output
-// was (max shard cost over mean — 1.0 is a perfect split).
-const obs::Counter kRebalances{"fleet.shard.rebalances"};
-const obs::Histogram kShardImbalance{"fleet.shard.imbalance",
-                                     obs::HistogramSpec{1.0, 64.0, 24, true}};
-const obs::Gauge kShardCount{"fleet.shard.count"};
+// Scheduling telemetry, measured on every pooled epoch: the busiest worker's
+// busy time over the mean busy time (1.0 = all worked equally long; N = one
+// of N workers did everything), and the share of the fan-out's
+// worker-seconds spent busy rather than waiting at the barrier.
+const obs::Histogram kWorkerImbalance{"fleet.worker_imbalance",
+                                      obs::HistogramSpec{1.0, 64.0, 24, true}};
+const obs::Histogram kWorkerUtilization{
+    "fleet.worker_utilization", obs::HistogramSpec{0.0, 1.0, 20, false}};
+
+// Sensors per self-claimed chunk for an epoch of `n` sensors on `workers`
+// workers. At least four chunks per worker keep a small fleet's tail short;
+// large fleets take 8, the widest SIMD lane width, and the batch path always
+// does, so its lane groups stay full. Scheduling only — every chunking gives
+// bit-identical results.
+std::size_t chunk_size_for(std::size_t n, std::size_t workers, bool batch) {
+  constexpr std::size_t kMaxChunk = 8;
+  if (batch) return kMaxChunk;
+  return std::clamp<std::size_t>(n / (4 * workers), 1, kMaxChunk);
+}
+
+using Clock = std::chrono::steady_clock;
+
+double seconds_since(Clock::time_point t0) {
+  return std::chrono::duration<double>(Clock::now() - t0).count();
+}
 
 // Checkpoint sections (DESIGN.md §14).
 constexpr std::uint32_t kSectionMeta = state::section_id('M', 'E', 'T', 'A');
@@ -90,7 +109,6 @@ void FleetEngine::HotState::resize(std::size_t n) {
   estimate_mps.assign(n, 0.0);
   direction.assign(n, 0);
   has_sample.assign(n, 0);
-  cost_ewma_s.assign(n, 0.0);
 }
 
 FleetEngine::FleetEngine(hydro::WaterNetwork& network,
@@ -194,15 +212,8 @@ void FleetEngine::begin_team(util::ThreadPool* pool) {
   if (pool == nullptr) return;
   if (team_ != nullptr && team_pool_ == pool) return;
   end_team();
-  const std::size_t n = pool->thread_count();
-  // Worker w owns shards w, w+n, w+2n, … of whatever plan is current when an
-  // epoch is released — so manual plans with more shards than workers still
-  // execute completely.
   team_ = std::make_unique<util::WorkerTeam>(
-      *pool, n, [this, n](std::size_t w) {
-        for (std::size_t s = w; s < plan_.shard_count(); s += n)
-          process_shard(s);
-      });
+      *pool, pool->thread_count(), [this](std::size_t w) { claim_chunks(w); });
   team_pool_ = pool;
 }
 
@@ -225,40 +236,6 @@ void FleetEngine::run(Seconds duration, util::ThreadPool* pool) {
   } guard{own_team ? this : nullptr};
   if (own_team) begin_team(pool);
   for (long long e = 0; e < epochs; ++e) step_epoch(pool);
-}
-
-void FleetEngine::set_cost_hint(std::size_t i, double seconds) {
-  hot_.cost_ewma_s[i] = seconds;
-}
-
-void FleetEngine::set_shard_plan(ShardPlan plan) {
-  if (!plan.is_partition_of(nodes_.size()))
-    throw std::invalid_argument(
-        "FleetEngine::set_shard_plan: not a partition of the sensor indices");
-  plan_ = std::move(plan);
-  plan_manual_ = true;
-  kShardCount.set(static_cast<double>(plan_.shard_count()));
-}
-
-void FleetEngine::clear_shard_plan() { plan_manual_ = false; }
-
-void FleetEngine::rebalance_shards(std::size_t shard_count) {
-  plan_ = plan_shards(hot_.cost_ewma_s, shard_count);
-  ++rebalances_;
-  kRebalances.add(1);
-  kShardCount.set(static_cast<double>(plan_.shard_count()));
-  kShardImbalance.observe(shard_imbalance(plan_, hot_.cost_ewma_s));
-  AQUA_TRACE_INSTANT_SIM("fleet.shard_rebalance", t_.value());
-}
-
-void FleetEngine::ensure_plan(std::size_t shard_count) {
-  if (plan_manual_) return;  // pinned by set_shard_plan — validated partition
-  const bool stale = plan_.shard_count() != shard_count ||
-                     plan_.sensor_count() != nodes_.size();
-  const long long interval = config_.sharding.rebalance_interval_epochs;
-  const bool due =
-      interval > 0 && epoch_index_ > 0 && (epoch_index_ % interval) == 0;
-  if (stale || due) rebalance_shards(shard_count);
 }
 
 void FleetEngine::snapshot_epoch_inputs() {
@@ -284,17 +261,6 @@ void FleetEngine::publish_sample(std::size_t i) {
   kSensorSteps.add(1);
 }
 
-void FleetEngine::record_cost(std::size_t i, double seconds) {
-  kSensorStepWall.observe(seconds);
-  if (config_.sharding.measure_costs) {
-    const double alpha = config_.sharding.cost_ewma_alpha;
-    hot_.cost_ewma_s[i] =
-        hot_.cost_ewma_s[i] <= 0.0
-            ? seconds
-            : (1.0 - alpha) * hot_.cost_ewma_s[i] + alpha * seconds;
-  }
-}
-
 PipeState FleetEngine::snapshot_state(std::size_t i) const {
   PipeState state;
   state.mean_velocity_mps = hot_.mean_velocity_mps[i];
@@ -307,27 +273,24 @@ PipeState FleetEngine::snapshot_state(std::size_t i) const {
 void FleetEngine::advance_sensor(std::size_t i) {
   const obs::ScopedSpan sensor_span{"fleet.sensor", t_.value(),
                                     static_cast<double>(i)};
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = Clock::now();
 
   nodes_[i]->advance(snapshot_state(i), config_.epoch);
   publish_sample(i);
 
-  const double dt = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-  record_cost(i, dt);
+  kSensorStepWall.observe(seconds_since(t0));
 }
 
 void FleetEngine::advance_sensor_group(std::span<const std::uint32_t> ids) {
   // A singleton still goes through the fused kernel: the batch path's noise
   // draw order differs from scalar advance, so falling back for groups of one
-  // would make results depend on how the shard planner happened to chunk the
-  // fleet — e.g. an LPT plan with more shards than heavy sensors. Lane math
-  // is per-sensor, so group composition itself never changes results.
+  // would make results depend on how the fleet happened to be chunked — e.g.
+  // a chunk holding one frame-aligned sensor. Lane math is per-sensor, so
+  // group composition itself never changes results.
   if (ids.empty()) return;
   const obs::ScopedSpan group_span{"fleet.sensor_group", t_.value(),
                                    static_cast<double>(ids.size())};
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = Clock::now();
 
   thread_local std::vector<SensorNode*> group_nodes;
   thread_local std::vector<PipeState> group_states;
@@ -343,43 +306,48 @@ void FleetEngine::advance_sensor_group(std::span<const std::uint32_t> ids) {
                             config_.batch_lane_width);
 
   // The lanes advance the whole group together, so per-sensor wall time is
-  // unobservable — split the group time evenly. The cost model only feeds
-  // the shard planner, which is outside the determinism contract anyway.
-  const double dt = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count() /
-                    static_cast<double>(ids.size());
+  // unobservable — split the group time evenly for the step histogram.
+  const double dt = seconds_since(t0) / static_cast<double>(ids.size());
   for (const std::uint32_t i : ids) {
     publish_sample(i);
-    record_cost(i, dt);
+    kSensorStepWall.observe(dt);
   }
 }
 
-void FleetEngine::advance_sensors(std::span<const std::uint32_t> ids) {
+void FleetEngine::advance_chunk(std::size_t begin, std::size_t end) {
   if (config_.execution != ChannelExecution::kSimdBatch) {
-    for (const std::uint32_t i : ids) advance_sensor(i);
+    for (std::size_t i = begin; i < end; ++i) advance_sensor(i);
     return;
   }
-  // Batch mode: frame-aligned sensors form one lane group (ascending shard
+  // Batch mode: frame-aligned sensors form one lane group (ascending id
   // order); the rest — e.g. a node parked mid-frame by commissioning — step
   // scalar. Either way each sensor consumes exactly its own RNG stream, so
   // the split never perturbs results (DESIGN.md §13).
   thread_local std::vector<std::uint32_t> batch_ids;
   batch_ids.clear();
-  batch_ids.reserve(ids.size());
-  for (const std::uint32_t i : ids) {
+  for (std::size_t i = begin; i < end; ++i) {
     if (nodes_[i]->batch_eligible())
-      batch_ids.push_back(i);
+      batch_ids.push_back(static_cast<std::uint32_t>(i));
     else
       advance_sensor(i);
   }
   advance_sensor_group(batch_ids);
 }
 
-void FleetEngine::process_shard(std::size_t shard) {
-  const obs::ScopedSpan shard_span{"fleet.shard", t_.value(),
-                                   static_cast<double>(shard)};
-  advance_sensors(plan_.shards[shard]);
+void FleetEngine::claim_chunks(std::size_t worker) {
+  const auto t0 = Clock::now();
+  const std::size_t n = nodes_.size();
+  const std::size_t chunk = chunk_sensors_;
+  // Relaxed is enough: the cursor only has to hand each chunk out once. The
+  // epoch's inputs and outputs are published by the release/join around
+  // this loop (team barrier, task futures), not by the cursor.
+  for (;;) {
+    const std::size_t begin =
+        next_chunk_.fetch_add(1, std::memory_order_relaxed) * chunk;
+    if (begin >= n) break;
+    advance_chunk(begin, std::min(n, begin + chunk));
+  }
+  worker_busy_s_[worker] = seconds_since(t0);
 }
 
 void FleetEngine::step_epoch(util::ThreadPool* pool) {
@@ -398,36 +366,35 @@ void FleetEngine::step_epoch(util::ThreadPool* pool) {
   // Snapshot serially so every sensor task reads a frozen network state.
   snapshot_epoch_inputs();
 
-  const bool use_team = team_ != nullptr && pool == team_pool_;
-  if (use_team) {
-    ensure_plan(team_->workers());
-    team_->run_epoch();  // barrier out, barrier in — zero enqueues
+  // Every path runs the same claim loop: on each team worker (barrier out,
+  // barrier in — zero enqueues), on one pool task per worker, or serially on
+  // the caller, which then claims every chunk in order.
+  const std::size_t workers = pool != nullptr ? pool->thread_count() : 1;
+  worker_busy_s_.assign(workers, 0.0);
+  chunk_sensors_ =
+      chunk_size_for(nodes_.size(), workers,
+                     config_.execution == ChannelExecution::kSimdBatch);
+  next_chunk_.store(0, std::memory_order_relaxed);
+  const auto t_fanout = Clock::now();
+  if (team_ != nullptr && pool == team_pool_) {
+    team_->run_epoch();
   } else if (pool != nullptr) {
-    // One coarse task per shard per epoch — never a per-sensor micro-task.
-    ensure_plan(pool->thread_count());
-    std::vector<std::future<void>> futures;
-    futures.reserve(plan_.shard_count());
-    for (std::size_t s = 0; s < plan_.shard_count(); ++s)
-      futures.push_back(pool->submit([this, s] { process_shard(s); }));
-    std::exception_ptr first;
-    for (auto& f : futures) {
-      try {
-        f.get();
-      } catch (...) {
-        if (!first) first = std::current_exception();
-      }
-    }
-    if (first) std::rethrow_exception(first);
+    pool->parallel_for(workers, [this](std::size_t w) { claim_chunks(w); });
   } else {
-    // Serial epoch: the whole fleet is one "shard" (in batch mode that means
-    // one lane group per epoch — chunking differences never change results).
-    thread_local std::vector<std::uint32_t> all_ids;
-    if (all_ids.size() != nodes_.size()) {
-      all_ids.resize(nodes_.size());
-      for (std::size_t i = 0; i < nodes_.size(); ++i)
-        all_ids[i] = static_cast<std::uint32_t>(i);
-    }
-    advance_sensors(all_ids);
+    claim_chunks(0);
+  }
+  if (pool != nullptr) {
+    const double fanout_s = seconds_since(t_fanout);
+    const double busy_s =
+        std::accumulate(worker_busy_s_.begin(), worker_busy_s_.end(), 0.0);
+    const double max_busy_s =
+        *std::max_element(worker_busy_s_.begin(), worker_busy_s_.end());
+    if (busy_s > 0.0)
+      kWorkerImbalance.observe(max_busy_s * static_cast<double>(workers) /
+                               busy_s);
+    if (fanout_s > 0.0)
+      kWorkerUtilization.observe(busy_s /
+                                 (static_cast<double>(workers) * fanout_s));
   }
 
   t_ += config_.epoch;
@@ -477,7 +444,6 @@ void FleetEngine::write_checkpoint(state::CheckpointWriter& ck) const {
     w.f64(t_.value());
     w.i64(epoch_index_);
     w.i64(solve_failures_);
-    w.i64(rebalances_);
     w.size(estimate_valid_.size());
     for (const std::uint8_t v : estimate_valid_) w.u8(v);
     state::save_f64_vector(w, hot_.mean_velocity_mps);
@@ -493,7 +459,6 @@ void FleetEngine::write_checkpoint(state::CheckpointWriter& ck) const {
       w.u8(static_cast<std::uint8_t>(d));
     w.size(hot_.has_sample.size());
     for (const std::uint8_t h : hot_.has_sample) w.u8(h);
-    state::save_f64_vector(w, hot_.cost_ewma_s);
     ck.end_section();
   }
   {
@@ -547,7 +512,6 @@ void FleetEngine::read_checkpoint(const state::CheckpointReader& ck) {
     t_ = Seconds{r.f64()};
     epoch_index_ = r.i64();
     solve_failures_ = r.i64();
-    rebalances_ = r.i64();
     if (r.size(1) != estimate_valid_.size())
       throw state::Error("FleetEngine: estimate mask size mismatch");
     for (std::uint8_t& v : estimate_valid_) v = r.u8();
@@ -571,7 +535,6 @@ void FleetEngine::read_checkpoint(const state::CheckpointReader& ck) {
     if (r.size(1) != hot_.has_sample.size())
       throw state::Error("FleetEngine: hot array size mismatch: has_sample");
     for (std::uint8_t& h : hot_.has_sample) h = r.u8();
-    load_sized(hot_.cost_ewma_s, "cost_ewma");
     r.expect_end();
   }
   {

@@ -7,29 +7,34 @@
 // engine (serially) scales the junction demands by the diurnal factor and
 // re-solves the steady-state network; every sensor then integrates its
 // ΣΔ/CIC/PI loop across the epoch under its pipe's frozen hydraulic state —
-// on the caller's thread, or sharded across a util::ThreadPool.
+// on the caller's thread, or across the workers of a util::ThreadPool.
 //
-// Parallel execution model (DESIGN.md §12): sensors are partitioned into
-// cost-balanced shards (fleet::plan_shards over per-sensor EWMA step costs,
-// rebalanced between epochs). With a plain pool the engine submits exactly
-// one coarse task per shard per epoch; inside a TeamSession it goes further —
-// one persistent task parked per worker for the whole run, released once per
-// epoch through an EpochBarrier, zero per-epoch enqueues. The per-epoch hot
-// state (pipe snapshots in, sample fields out, step costs) lives in
-// structure-of-arrays form so an epoch streams memory instead of chasing
-// SensorNode pointers, and so readers (supervisor polls, leak estimates) can
-// scan the fleet without touching the nodes.
+// Parallel execution model (DESIGN.md §12): each epoch the fleet is cut into
+// contiguous chunks of up to 8 sensors, and each worker claims the next
+// unclaimed chunk from one atomic cursor until none is left. A worker
+// that wakes late or draws slow sensors simply claims fewer chunks, so the
+// load balances from the first epoch, with no cost model to warm up. Inside a
+// TeamSession the claimers are one persistent task parked per worker,
+// released once per epoch through an EpochBarrier (zero per-epoch enqueues);
+// with a plain pool they are one task per worker per epoch; serially the
+// caller claims every chunk itself. The per-epoch hot state (pipe snapshots
+// in, sample fields out) lives in structure-of-arrays form so an epoch
+// streams memory instead of chasing SensorNode pointers, and so readers
+// (supervisor polls, leak estimates) can scan the fleet without touching the
+// nodes.
 //
 // Determinism contract (the load-bearing property): each SensorNode owns all
 // of its mutable state and draws from its private counter-based RNG stream
 // (util::Rng::stream(root_seed, sensor_index)), and epoch snapshots are
 // computed serially before the fan-out. Sensor tasks therefore commute, and
 // the same root seed produces bit-identical per-sensor traces for ANY thread
-// count AND any shard assignment — including none. Shard plans are built from
-// wall-clock costs and are explicitly outside the contract; the simulation
-// output must not (and does not) depend on them. tests/fleet/ enforce both.
+// count, chunk size and claim order. Which worker claims which chunk depends
+// on wall-clock timing and is explicitly outside the contract; the simulation
+// output must not (and does not) depend on it. tests/fleet/ enforce both.
 #pragma once
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -39,7 +44,6 @@
 
 #include "fleet/report.hpp"
 #include "fleet/sensor_node.hpp"
-#include "fleet/shard.hpp"
 #include "hydro/network.hpp"
 #include "sim/schedule.hpp"
 #include "state/checkpoint.hpp"
@@ -49,32 +53,17 @@
 
 namespace aqua::fleet {
 
-/// Knobs of the cost-balanced sharding layer.
-struct ShardingConfig {
-  /// Auto-rebalance cadence, in epochs (0 = plan once, never rebalance).
-  /// Rebalancing happens serially between epochs and never changes results —
-  /// only wall-clock balance.
-  long long rebalance_interval_epochs = 16;
-  /// EWMA smoothing of the measured per-sensor step wall time:
-  /// cost ← (1−α)·cost + α·measured.
-  double cost_ewma_alpha = 0.25;
-  /// When false the engine stops folding measurements into the cost model —
-  /// costs stay wherever set_cost_hint() put them (tests use this to build
-  /// adversarial skews that reproduce exactly).
-  bool measure_costs = true;
-};
-
 /// How the epoch loop advances its sensors (DESIGN.md §13).
 enum class ChannelExecution {
   /// Per-sensor scalar stepping — the bit-identity reference path that the
   /// legacy fleet determinism checksum is committed against.
   kScalar,
-  /// Cross-sensor SIMD lanes: each shard advances its frame-aligned sensors
+  /// Cross-sensor SIMD lanes: each chunk advances its frame-aligned sensors
   /// as one simd::CtaFrameBatch group (batched thermal sweep + W-wide fused
   /// channel chain); mid-frame sensors (e.g. freshly commissioned ones) fall
   /// back to the scalar path without perturbing any neighbour's RNG stream.
   /// Deterministic under its own committed checksum — invariant to lane
-  /// width, thread count and shard plan — but intentionally not bit-equal to
+  /// width, thread count and chunk size — but intentionally not bit-equal to
   /// kScalar (different Gaussian transform; see simd/channel_batch.hpp).
   kSimdBatch,
 };
@@ -96,7 +85,6 @@ struct FleetConfig {
   util::Kelvin water_temperature = util::celsius(15.0);
   /// Absolute pressure floor the node pressure heads ride on.
   util::Pascals atmospheric = util::bar(1.0);
-  ShardingConfig sharding{};
 };
 
 /// Residential 24-hour demand pattern — night valley (0.3×), morning peak
@@ -153,17 +141,17 @@ class FleetEngine {
   void set_shared_fit(const cta::KingFit& fit);
 
   /// Co-simulates `duration` in epochs; serial on the caller's thread when
-  /// `pool` is null, else sharded — bit-identical either way. With a pool and
-  /// no already-active team this wraps the whole loop in a persistent worker
-  /// team, so the steady state runs with zero per-epoch task enqueues.
+  /// `pool` is null, else parallel — bit-identical either way. With a pool
+  /// and no already-active team this wraps the whole loop in a persistent
+  /// worker team, so the steady state runs with zero per-epoch task enqueues.
   void run(util::Seconds duration, util::ThreadPool* pool = nullptr);
 
   /// Advances exactly one epoch: demand scaling, network solve, serial pipe
-  /// snapshots, sharded sensor execution, clock tick. run() is a loop over
-  /// this. Fault injectors and the fleet supervisor act *between* step_epoch
-  /// calls on the caller's thread, which keeps campaigns bit-reproducible at
-  /// any thread count. Without an active team, a non-null pool gets exactly
-  /// one coarse task per shard this epoch (no per-sensor enqueue).
+  /// snapshots, self-claimed chunked sensor execution, clock tick. run() is a
+  /// loop over this. Fault injectors and the fleet supervisor act *between*
+  /// step_epoch calls on the caller's thread, which keeps campaigns
+  /// bit-reproducible at any thread count. Without an active team, a
+  /// non-null pool gets exactly one claiming task per worker this epoch.
   void step_epoch(util::ThreadPool* pool = nullptr);
 
   // --- persistent worker team (DESIGN.md §12) ------------------------------
@@ -195,34 +183,6 @@ class FleetEngine {
    private:
     FleetEngine& engine_;
   };
-
-  // --- cost model and shard plan -------------------------------------------
-
-  /// Current partition of sensors into shards (rebuilt lazily for the pool in
-  /// use; empty until the first sharded epoch or explicit rebalance).
-  [[nodiscard]] const ShardPlan& shard_plan() const { return plan_; }
-
-  /// Replaces the plan with a caller-supplied partition and pins it (auto
-  /// rebalance stops until clear_shard_plan). Throws std::invalid_argument if
-  /// `plan` is not a partition of [0, size()). Any partition is legal — the
-  /// determinism contract makes them all produce identical simulations.
-  void set_shard_plan(ShardPlan plan);
-  /// Unpins a manual plan; cost-based planning resumes.
-  void clear_shard_plan();
-
-  /// Recomputes the LPT plan for `shard_count` shards from the current cost
-  /// model, immediately.
-  void rebalance_shards(std::size_t shard_count);
-  [[nodiscard]] long long rebalances() const { return rebalances_; }
-
-  /// Per-sensor predicted step cost (seconds; EWMA of measured wall time
-  /// unless pinned via set_cost_hint with measurement off).
-  [[nodiscard]] double cost_estimate(std::size_t i) const {
-    return hot_.cost_ewma_s[i];
-  }
-  /// Seeds/overrides sensor `i`'s cost estimate. With
-  /// ShardingConfig::measure_costs == false the hint is permanent.
-  void set_cost_hint(std::size_t i, double seconds);
 
   [[nodiscard]] FleetReport report() const;
 
@@ -294,7 +254,7 @@ class FleetEngine {
   [[nodiscard]] PipeState pipe_state_for(const SensorNode& node) const;
   void apply_demand_factor(double factor);
   /// Runs body(i) for every node — serially, or on the pool (commission /
-  /// calibration fan-out; the epoch loop uses shards instead).
+  /// calibration fan-out; the epoch loop claims chunks instead).
   void dispatch(util::ThreadPool* pool,
                 const std::function<void(std::size_t)>& body);
   /// Serially freezes this epoch's per-sensor hydraulic state into the SoA
@@ -303,27 +263,23 @@ class FleetEngine {
   /// Rehydrates sensor `i`'s frozen epoch input from the SoA arrays.
   [[nodiscard]] PipeState snapshot_state(std::size_t i) const;
   /// Advances sensor `i` one epoch from the SoA inputs and publishes its
-  /// sample fields + measured cost back into the SoA outputs. Runs on pool
-  /// workers for disjoint `i` — everything it touches is per-sensor.
+  /// sample fields back into the SoA outputs. Runs on pool workers for
+  /// disjoint `i` — everything it touches is per-sensor.
   void advance_sensor(std::size_t i);
   /// Advances the sensors in `ids` one epoch as a single cross-sensor SIMD
-  /// group (SensorNode::advance_group) and publishes each one's sample. The
-  /// group wall time is split evenly across the members for the cost model.
+  /// group (SensorNode::advance_group) and publishes each one's sample.
   void advance_sensor_group(std::span<const std::uint32_t> ids);
-  /// One epoch for the sensors in `ids` under the configured execution mode:
+  /// One epoch for sensors [begin, end) under the configured execution mode:
   /// scalar per-sensor stepping, or one batch group per call with scalar
   /// fallback for sensors that are not frame-aligned.
-  void advance_sensors(std::span<const std::uint32_t> ids);
+  void advance_chunk(std::size_t begin, std::size_t end);
   /// Mirrors node `i`'s newest trace sample into the SoA outputs (disjoint
   /// slot — safe from any worker).
   void publish_sample(std::size_t i);
-  /// Folds a measured per-sensor step wall time into the EWMA cost model.
-  void record_cost(std::size_t i, double seconds);
-  /// Runs one shard of the current plan (ascending sensor order).
-  void process_shard(std::size_t shard);
-  /// Makes sure plan_ is a partition sized for `shard_count` shards, and
-  /// applies the between-epochs auto-rebalance cadence.
-  void ensure_plan(std::size_t shard_count);
+  /// The claim loop each worker of an epoch runs: takes the next chunk from
+  /// the epoch cursor until the fleet is exhausted, and records how long
+  /// worker `worker` was busy doing so.
+  void claim_chunks(std::size_t worker);
 
   hydro::WaterNetwork& net_;
   FleetConfig config_;
@@ -334,8 +290,7 @@ class FleetEngine {
   /// Per-epoch hot state, structure-of-arrays: one slot per sensor. The
   /// epoch loop writes inputs serially, workers read inputs / write outputs
   /// for disjoint sensors, and cold readers scan outputs without touching
-  /// SensorNode. Wall-clock costs live here too — they feed the shard
-  /// planner, never the simulation.
+  /// SensorNode.
   struct HotState {
     // Epoch inputs (frozen network state).
     std::vector<double> mean_velocity_mps;
@@ -349,17 +304,19 @@ class FleetEngine {
     std::vector<double> estimate_mps;
     std::vector<std::int8_t> direction;
     std::vector<std::uint8_t> has_sample;
-    // Cost model (EWMA step seconds; scheduling only).
-    std::vector<double> cost_ewma_s;
 
     void resize(std::size_t n);
   };
   HotState hot_;
 
-  ShardPlan plan_;
-  bool plan_manual_ = false;
+  /// Sensors per chunk and the next unclaimed chunk of the running epoch;
+  /// both set before each release.
+  std::size_t chunk_sensors_ = 1;
+  std::atomic<std::size_t> next_chunk_{0};
+  /// Busy seconds of each worker in the last epoch (disjoint slots; wall
+  /// clock, scheduling telemetry only).
+  std::vector<double> worker_busy_s_;
   long long epoch_index_ = 0;
-  long long rebalances_ = 0;
   std::unique_ptr<util::WorkerTeam> team_;
   util::ThreadPool* team_pool_ = nullptr;
 

@@ -161,7 +161,7 @@ class SensorNode {
 
   /// Fingerprint of this node's RNG stream position (util::Rng::fingerprint).
   /// Two runs that consumed the same draws in the same order agree here; the
-  /// scaling tests use it to prove shard plans never alter RNG consumption.
+  /// scaling tests use it to prove chunking never alters RNG consumption.
   [[nodiscard]] std::uint64_t rng_fingerprint() const {
     return rng_.fingerprint();
   }

@@ -27,7 +27,7 @@ void CtaFrameBatch::process_frame(std::span<cta::CtaAnemometer* const> loops,
           "decimation");
   }
 
-  // Per-frame scratch, reused across frames on this thread (a fleet shard
+  // Per-frame scratch, reused across frames on this thread (a fleet chunk
   // calls this once per decimation frame per lane group).
   thread_local std::vector<phys::ThermalNetwork*> nets;
   thread_local std::vector<ChannelFrameInput> ch_in;

@@ -33,7 +33,9 @@ inline constexpr std::array<std::uint8_t, 8> kMagic{'A', 'Q', 'U', 'A',
 /// Bump policy (DESIGN.md §14): increment for any wire-incompatible change;
 /// loaders reject versions they do not know rather than guessing. Additive
 /// new sections do NOT need a bump — readers ignore unknown section ids.
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// Version 2: the fleet engine section no longer carries the retired shard
+/// planner's rebalance count and per-sensor cost estimates.
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// Section ids are FourCCs so hexdumps of a checkpoint stay legible.
 constexpr std::uint32_t section_id(char a, char b, char c, char d) {

@@ -6,7 +6,7 @@
 // generation — this class. It is a classic sense-reversing barrier built on a
 // mutex + condition variable: correct under TSan, immune to spurious wakeups,
 // and cheap relative to an epoch (two lock/unlock pairs per participant per
-// crossing, microseconds against the milliseconds a shard of sensors costs).
+// crossing, microseconds against the milliseconds an epoch of sensors costs).
 //
 // The mutex also carries the memory ordering the epoch protocol relies on:
 // anything a thread wrote before arrive_and_wait() is visible to every other

@@ -10,7 +10,7 @@
 //
 //   util::ThreadPool pool{8};
 //   util::WorkerTeam team{pool, pool.thread_count(), [&](std::size_t w) {
-//     process_shard(w);            // runs on worker w, once per epoch
+//     claim_chunks(w);             // runs on worker w, once per epoch
 //   }};
 //   for (int e = 0; e < epochs; ++e) {
 //     prepare_epoch();             // serial, workers parked

@@ -1,15 +1,15 @@
-// Scaling battery for the cost-balanced sharded epoch loop: LPT planner
-// properties, 1k-sensor bit-identity across thread counts under adversarial
-// cost skew, mid-run rebalances and pathological manual plans, the "shard
-// assignment never changes RNG stream consumption" property, and the
-// one-task-per-shard-per-epoch regression gate on the pool task counter
-// (the old fork/join loop fed ~13 micro-tasks per epoch; this suite pins the
-// new contract).
+// Scaling battery for the self-claimed chunk epoch loop: fleets of every
+// size, ragged chunk tails included, step every sensor exactly once per
+// epoch; 1k-sensor bit-identity across thread counts; mid-run switches
+// between team, pooled and serial epochs; the "which worker runs a sensor
+// never changes RNG stream consumption" property; task accounting on the
+// pool (one claiming task per worker per epoch, or one parked task per
+// worker per team session); and scheduling telemetry that reports what the
+// workers measurably did.
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -17,60 +17,13 @@
 
 #include "core/rig.hpp"
 #include "fleet/fleet.hpp"
-#include "fleet/shard.hpp"
 #include "obs/metrics.hpp"
-#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace aqua::fleet {
 namespace {
 
 using util::Seconds;
-
-// --- LPT planner ------------------------------------------------------------
-
-TEST(ShardPlanner, ProducesAPartitionForAnyShardCount) {
-  util::Rng rng{11};
-  std::vector<double> costs(97);
-  for (double& c : costs) c = rng.uniform(0.1, 5.0);
-  for (std::size_t shards : {std::size_t{1}, std::size_t{3}, std::size_t{8},
-                             std::size_t{17}, std::size_t{200}}) {
-    const ShardPlan plan = plan_shards(costs, shards);
-    EXPECT_EQ(plan.shard_count(), shards);
-    EXPECT_TRUE(plan.is_partition_of(costs.size())) << shards << " shards";
-    for (const auto& shard : plan.shards)
-      for (std::size_t k = 1; k < shard.size(); ++k)
-        EXPECT_LT(shard[k - 1], shard[k]) << "shards must be ascending";
-  }
-  EXPECT_EQ(plan_shards(costs, 0).shard_count(), 1u);  // promoted to 1
-}
-
-TEST(ShardPlanner, DeterministicForEqualInputs) {
-  util::Rng rng{12};
-  std::vector<double> costs(64);
-  for (double& c : costs) c = rng.uniform(0.1, 5.0);
-  const ShardPlan a = plan_shards(costs, 8);
-  const ShardPlan b = plan_shards(costs, 8);
-  ASSERT_EQ(a.shards, b.shards);
-}
-
-TEST(ShardPlanner, SpreadsFiftyTimesSlowerSensorsOnePerShard) {
-  // 8 sensors cost 50×, the rest 1× — the adversarial skew of the scaling
-  // tests. LPT must put exactly one heavy sensor in each of 8 shards and
-  // then even out the light ones: a perfect split, not 4/3-approximate.
-  std::vector<double> costs(64, 1.0);
-  for (std::size_t i = 0; i < 64; i += 8) costs[i] = 50.0;
-  const ShardPlan plan = plan_shards(costs, 8);
-  ASSERT_TRUE(plan.is_partition_of(64));
-  for (const auto& shard : plan.shards) {
-    int heavy = 0;
-    for (const std::uint32_t i : shard) heavy += (costs[i] == 50.0) ? 1 : 0;
-    EXPECT_EQ(heavy, 1);
-  }
-  EXPECT_DOUBLE_EQ(shard_imbalance(plan, costs), 1.0);
-  const std::vector<double> totals = shard_costs(plan, costs);
-  for (const double t : totals) EXPECT_DOUBLE_EQ(t, 57.0);
-}
 
 // --- fleet fixtures ---------------------------------------------------------
 
@@ -129,7 +82,7 @@ std::uint64_t trace_checksum(const FleetEngine& engine) {
 }
 
 void expect_traces_equal(const FleetEngine& a, const FleetEngine& b,
-                         const char* label) {
+                         const std::string& label) {
   ASSERT_EQ(a.size(), b.size()) << label;
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -147,21 +100,47 @@ void expect_traces_equal(const FleetEngine& a, const FleetEngine& b,
   }
 }
 
-// --- 1k-sensor determinism under adversarial cost skew ----------------------
+// --- chunking covers the fleet ----------------------------------------------
 
-// One sensor in every 128 is hinted 50× slower with measurement off, and the
-// planner reshuffles EVERY epoch — so consecutive epochs run under heavily
-// skewed, changing partitions. The traces must not care.
-std::uint64_t run_skewed(unsigned threads, std::size_t replicas,
-                         long long epochs, std::size_t* sample_count) {
+// A chunk holds up to 8 sensors, fewer on small fleets, so these sizes give
+// one-sensor chunks, full chunks and ragged last chunks on 3 and 4 workers.
+// Each must step every sensor exactly once per epoch — none skipped at a
+// ragged tail, none claimed twice — and reproduce the serial traces.
+TEST(FleetScaling, EveryFleetSizeAdvancesEverySensorExactlyOncePerEpoch) {
+  util::ThreadPool pool3{3};
+  util::ThreadPool pool4{4};
+  for (std::size_t sensors : {std::size_t{1}, std::size_t{9},
+                              std::size_t{31}, std::size_t{100},
+                              std::size_t{203}}) {
+    District ds = make_district(7);
+    ds.placements.resize(sensors);
+    FleetEngine serial(ds.net, ds.placements, make_config());
+    serial.set_shared_fit(cta::KingFit{0.9, 1.1, 0.5});
+    serial.run(Seconds{0.04});
+    for (util::ThreadPool* pool : {&pool3, &pool4}) {
+      District d = make_district(7);
+      d.placements.resize(sensors);
+      FleetEngine engine(d.net, d.placements, make_config());
+      engine.set_shared_fit(cta::KingFit{0.9, 1.1, 0.5});
+      engine.step_epoch(pool);
+      engine.step_epoch(pool);
+      const std::string label = std::to_string(sensors) + " sensors on " +
+                                std::to_string(pool->thread_count()) +
+                                " workers";
+      for (std::size_t i = 0; i < engine.size(); ++i)
+        ASSERT_EQ(engine.node(i).trace().size(), 2u) << label << ", sensor " << i;
+      expect_traces_equal(serial, engine, label);
+    }
+  }
+}
+
+// --- 1k-sensor determinism across thread counts -------------------------------
+
+std::uint64_t run_fleet(unsigned threads, std::size_t replicas,
+                        long long epochs, std::size_t* sample_count) {
   District d = make_district(replicas);
-  FleetConfig cfg = make_config();
-  cfg.sharding.measure_costs = false;
-  cfg.sharding.rebalance_interval_epochs = 1;
-  FleetEngine engine(d.net, d.placements, cfg);
+  FleetEngine engine(d.net, d.placements, make_config());
   engine.set_shared_fit(cta::KingFit{0.9, 1.1, 0.5});
-  for (std::size_t i = 0; i < engine.size(); ++i)
-    engine.set_cost_hint(i, i % 128 == 0 ? 50.0 : 1.0);
   std::unique_ptr<util::ThreadPool> pool;
   if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
   for (long long e = 0; e < epochs; ++e) engine.step_epoch(pool.get());
@@ -178,89 +157,66 @@ TEST(FleetScaling, ThousandSensorsBitIdenticalAcrossThreadCounts) {
   constexpr long long kEpochs = 3;
   std::size_t serial_samples = 0;
   const std::uint64_t serial =
-      run_skewed(0, kReplicas, kEpochs, &serial_samples);
+      run_fleet(0, kReplicas, kEpochs, &serial_samples);
   EXPECT_EQ(serial_samples, kReplicas * 32 * kEpochs);
   for (unsigned threads : {1u, 2u, 4u, 8u}) {
     std::size_t samples = 0;
     const std::uint64_t checksum =
-        run_skewed(threads, kReplicas, kEpochs, &samples);
+        run_fleet(threads, kReplicas, kEpochs, &samples);
     EXPECT_EQ(samples, serial_samples) << threads << " threads";
     EXPECT_EQ(checksum, serial) << threads << " threads";
   }
 }
 
-// --- mid-run rebalances and manual plans ------------------------------------
+// --- mid-run changes of execution path ----------------------------------------
 
-TEST(FleetScaling, MidRunRebalanceAndManualPlansAreBitIdentical) {
-  constexpr std::size_t kReplicas = 8;  // 256 sensors
+// One engine switches between a persistent team, a plain pool of another
+// size and the serial path from epoch to epoch; 60 sensors make those
+// epochs claim 3-, 5- and 8-sensor chunks (the last one ragged). A serial
+// engine must see the same traces.
+TEST(FleetScaling, MidRunChunkAndThreadChangesAreBitIdentical) {
+  constexpr std::size_t kReplicas = 2;
   District da = make_district(kReplicas);
+  da.placements.resize(60);
   FleetEngine baseline(da.net, da.placements, make_config());
   baseline.set_shared_fit(cta::KingFit{0.9, 1.1, 0.5});
-  baseline.run(Seconds{0.12});  // 6 epochs, serial, never sharded
+  baseline.run(Seconds{0.12});  // 6 epochs, serial
 
   District db = make_district(kReplicas);
+  db.placements.resize(60);
   FleetEngine engine(db.net, db.placements, make_config());
   engine.set_shared_fit(cta::KingFit{0.9, 1.1, 0.5});
-  util::ThreadPool pool{4};
-
-  // Phase 1: two epochs on the automatic cost-balanced plan.
-  engine.step_epoch(&pool);
-  engine.step_epoch(&pool);
-  EXPECT_TRUE(engine.shard_plan().is_partition_of(engine.size()));
-
-  // Phase 2: pin a pathological manual plan — all sensors striped across 16
-  // shards by index modulo (nothing cost-balanced about it).
-  ShardPlan striped;
-  striped.shards.resize(16);
-  for (std::uint32_t i = 0; i < engine.size(); ++i)
-    striped.shards[i % 16].push_back(i);
-  engine.set_shard_plan(striped);
-  engine.step_epoch(&pool);
-  engine.step_epoch(&pool);
-
-  // Phase 3: unpin and force an immediate rebalance to 3 shards mid-run.
-  engine.clear_shard_plan();
-  engine.rebalance_shards(3);
-  const long long rebalances_before = engine.rebalances();
-  engine.step_epoch(&pool);
-  engine.step_epoch(&pool);
-  EXPECT_GE(engine.rebalances(), rebalances_before);
+  util::ThreadPool pool4{4};
+  util::ThreadPool pool3{3};
+  {
+    FleetEngine::TeamSession session{engine, &pool4};
+    engine.step_epoch(&pool4);
+    engine.step_epoch(&pool4);
+  }
+  engine.step_epoch(&pool3);
+  engine.step_epoch(&pool3);
+  engine.step_epoch(nullptr);
+  engine.step_epoch(&pool4);
   EXPECT_EQ(engine.epochs(), 6);
 
-  expect_traces_equal(baseline, engine, "serial vs shard-churned pool(4)");
+  expect_traces_equal(baseline, engine, "serial vs mixed-path pool runs");
 }
 
-TEST(FleetScaling, RejectsNonPartitionManualPlans) {
-  District d = make_district(1);
-  FleetEngine engine(d.net, d.placements, make_config());
-  ShardPlan missing;  // drops sensor 0
-  missing.shards.resize(1);
-  for (std::uint32_t i = 1; i < engine.size(); ++i)
-    missing.shards[0].push_back(i);
-  EXPECT_THROW(engine.set_shard_plan(missing), std::invalid_argument);
-  ShardPlan duplicated;
-  duplicated.shards.resize(2);
-  for (std::uint32_t i = 0; i < engine.size(); ++i) {
-    duplicated.shards[0].push_back(i);
-    duplicated.shards[1].push_back(i);
-  }
-  EXPECT_THROW(engine.set_shard_plan(duplicated), std::invalid_argument);
-}
-
-// --- RNG stream consumption is shard-plan independent ------------------------
+// --- RNG stream consumption is independent of the worker assignment ---------
 
 // The property behind all of the above: a sensor's RNG stream position after
-// N epochs is a pure function of (root seed, sensor index, N). Run the same
-// fleet under three extreme partitions and compare every node's RNG
-// fingerprint — if any code path consumed draws depending on the plan (or on
-// which worker ran the sensor), the fingerprints diverge.
+// N epochs is a pure function of (root seed, sensor index, N). A worker's
+// shard of the fleet is whatever chunks it happens to claim; run the same
+// fleet serially, on one worker that claims every chunk, and with chunks
+// interleaved across eight workers, and compare every node's RNG
+// fingerprint — if any code path consumed draws depending on the chunking
+// or on which worker ran the sensor, the fingerprints diverge.
 TEST(FleetScaling, ShardAssignmentNeverChangesRngConsumption) {
   constexpr std::size_t kReplicas = 4;  // 128 sensors
-  const auto fingerprints = [](FleetEngine& engine,
-                               util::ThreadPool* pool,
-                               const ShardPlan* plan) {
+  const auto fingerprints = [](util::ThreadPool* pool) {
+    District d = make_district(kReplicas);
+    FleetEngine engine(d.net, d.placements, make_config());
     engine.set_shared_fit(cta::KingFit{0.9, 1.1, 0.5});
-    if (plan != nullptr) engine.set_shard_plan(*plan);
     engine.step_epoch(pool);
     engine.step_epoch(pool);
     std::vector<std::uint64_t> prints;
@@ -270,38 +226,21 @@ TEST(FleetScaling, ShardAssignmentNeverChangesRngConsumption) {
     return prints;
   };
 
-  District ds = make_district(kReplicas);
-  FleetEngine serial_engine(ds.net, ds.placements, make_config());
-  const auto serial = fingerprints(serial_engine, nullptr, nullptr);
-
-  // Everything in ONE shard: a single worker walks all sensors in order.
-  District d1 = make_district(kReplicas);
-  FleetEngine one_engine(d1.net, d1.placements, make_config());
-  ShardPlan one;
-  one.shards.resize(1);
-  for (std::uint32_t i = 0; i < one_engine.size(); ++i)
-    one.shards[0].push_back(i);
+  util::ThreadPool pool1{1};
   util::ThreadPool pool8{8};
-  const auto one_shard = fingerprints(one_engine, &pool8, &one);
+  const auto serial = fingerprints(nullptr);
+  const auto one_worker = fingerprints(&pool1);
+  const auto striped = fingerprints(&pool8);
 
-  // Striped across 32 shards: maximal interleaving across 8 workers.
-  District d2 = make_district(kReplicas);
-  FleetEngine striped_engine(d2.net, d2.placements, make_config());
-  ShardPlan striped;
-  striped.shards.resize(32);
-  for (std::uint32_t i = 0; i < striped_engine.size(); ++i)
-    striped.shards[i % 32].push_back(i);
-  const auto striped_prints = fingerprints(striped_engine, &pool8, &striped);
-
-  ASSERT_EQ(serial.size(), one_shard.size());
-  ASSERT_EQ(serial.size(), striped_prints.size());
+  ASSERT_EQ(serial.size(), one_worker.size());
+  ASSERT_EQ(serial.size(), striped.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i], one_shard[i]) << "sensor " << i;
-    EXPECT_EQ(serial[i], striped_prints[i]) << "sensor " << i;
+    EXPECT_EQ(serial[i], one_worker[i]) << "sensor " << i;
+    EXPECT_EQ(serial[i], striped[i]) << "sensor " << i;
   }
 }
 
-// --- task accounting: the micro-task feeding fix -----------------------------
+// --- task accounting ----------------------------------------------------------
 
 std::uint64_t pool_tasks_completed() {
   const auto snap = obs::Registry::instance().snapshot();
@@ -310,12 +249,11 @@ std::uint64_t pool_tasks_completed() {
   return 0;
 }
 
-// The old epoch loop pushed parallel_for micro-blocks every epoch (~13 tasks
-// per epoch at 32 sensors). The contract now: exactly one pool task per shard
-// per epoch on the coarse path, and for a persistent team just one parked
-// task per worker for an entire session — independent of epoch count.
-TEST(FleetScaling, ExactlyOneTaskPerShardPerEpochOnTheCoarsePath) {
-  District d = make_district(1);  // 32 sensors
+// Without a team, each epoch costs one claiming task per pool worker — never
+// a task per chunk or per sensor; a persistent team costs one parked task
+// per worker for an entire session, independent of the epoch count.
+TEST(FleetScaling, ExactlyOneTaskPerWorkerPerEpochWithoutATeam) {
+  District d = make_district(1);  // 32 sensors: 8 chunks on 4 workers
   FleetEngine engine(d.net, d.placements, make_config());
   engine.set_shared_fit(cta::KingFit{0.9, 1.1, 0.5});
   util::ThreadPool pool{4};
@@ -324,10 +262,8 @@ TEST(FleetScaling, ExactlyOneTaskPerShardPerEpochOnTheCoarsePath) {
   constexpr long long kEpochs = 5;
   for (long long e = 0; e < kEpochs; ++e) engine.step_epoch(&pool);
   pool.wait_idle();  // the counter increments as each task retires
-  const std::uint64_t coarse = pool_tasks_completed() - before;
-  EXPECT_EQ(coarse, static_cast<std::uint64_t>(kEpochs) *
-                        engine.shard_plan().shard_count());
-  EXPECT_EQ(engine.shard_plan().shard_count(), pool.thread_count());
+  EXPECT_EQ(pool_tasks_completed() - before,
+            static_cast<std::uint64_t>(kEpochs) * pool.thread_count());
 }
 
 TEST(FleetScaling, TeamSessionCostsOneParkedTaskPerWorker) {
@@ -351,18 +287,47 @@ TEST(FleetScaling, TeamSessionCostsOneParkedTaskPerWorker) {
   EXPECT_EQ(engine.epochs(), 10);
 }
 
-// --- cost model ---------------------------------------------------------------
+// --- scheduling telemetry -------------------------------------------------------
 
-TEST(FleetScaling, CostModelLearnsMeasuredStepTimesByDefault) {
+obs::HistogramSnapshot histogram(const char* name) {
+  const obs::Snapshot snap = obs::Registry::instance().snapshot();
+  for (const obs::HistogramSnapshot& h : snap.histograms)
+    if (h.name == name) return h;
+  return obs::HistogramSnapshot{};
+}
+
+// The imbalance and utilisation histograms come from the measured busy time
+// of each worker, not from a prediction. A one-sensor fleet is the
+// one-worker plan: whichever worker claims its only chunk does all the work
+// while three claim nothing, so the measured imbalance must read about 4
+// (the worker count) and the utilisation about 1/4.
+TEST(FleetScaling, WorkerTelemetryShowsAOneWorkerEpoch) {
   District d = make_district(1);
+  d.placements.resize(1);
   FleetConfig cfg = make_config();
-  ASSERT_TRUE(cfg.sharding.measure_costs);
-  District d2 = make_district(1);
-  FleetEngine engine(d2.net, d2.placements, cfg);
+  cfg.epoch = Seconds{0.1};  // a busy time far above the idle workers' µs
+  FleetEngine engine(d.net, d.placements, cfg);
   engine.set_shared_fit(cta::KingFit{0.9, 1.1, 0.5});
-  engine.run(Seconds{0.06});  // 3 serial epochs
-  for (std::size_t i = 0; i < engine.size(); ++i)
-    EXPECT_GT(engine.cost_estimate(i), 0.0) << "sensor " << i;
+  util::ThreadPool pool{4};
+
+  const obs::HistogramSnapshot imb0 = histogram("fleet.worker_imbalance");
+  const obs::HistogramSnapshot util0 = histogram("fleet.worker_utilization");
+  constexpr int kEpochs = 3;
+  {
+    FleetEngine::TeamSession session{engine, &pool};
+    for (int e = 0; e < kEpochs; ++e) engine.step_epoch(&pool);
+  }
+  engine.step_epoch(nullptr);  // serial epochs record no scheduling telemetry
+  const obs::HistogramSnapshot imb = histogram("fleet.worker_imbalance");
+  const obs::HistogramSnapshot util = histogram("fleet.worker_utilization");
+
+  ASSERT_EQ(imb.count - imb0.count, static_cast<std::uint64_t>(kEpochs));
+  ASSERT_EQ(util.count - util0.count, static_cast<std::uint64_t>(kEpochs));
+  const double mean_imbalance = (imb.sum - imb0.sum) / kEpochs;
+  const double mean_util = (util.sum - util0.sum) / kEpochs;
+  EXPECT_GT(mean_imbalance, 3.5);
+  EXPECT_LE(mean_imbalance, 4.0 + 1e-9);
+  EXPECT_LT(mean_util, 0.3);
 }
 
 }  // namespace

@@ -48,7 +48,7 @@ void expect_samples_equal(const ChannelSample& a, const ChannelSample& b,
 }
 
 TEST(ChannelBatch, AnyGroupSizeBitMatchesTheWidthOneReference) {
-  // Shard sizes around every lane width: singletons, W−1/W/W+1 and a ragged
+  // Group sizes around every lane width: singletons, W−1/W/W+1 and a ragged
   // 3W+2 must all produce the same bits as the per-channel W = 1 reference —
   // the chunking-invariance half of the batch determinism contract.
   const int decimation = isif::ChannelConfig{}.decimation;
