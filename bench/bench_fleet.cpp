@@ -19,9 +19,7 @@
 #include <vector>
 
 #include "analog/amplifier.hpp"
-#include "analog/sigma_delta.hpp"
 #include "common.hpp"
-#include "dsp/cic.hpp"
 #include "fleet/fleet.hpp"
 #include "isif/channel.hpp"
 #include "maf/die.hpp"
@@ -29,8 +27,6 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "simd/channel_batch.hpp"
-#include "simd/lanes.hpp"
 #include "state/checkpoint.hpp"
 #include "util/thread_pool.hpp"
 
@@ -318,9 +314,6 @@ CheckpointOverhead measure_checkpoint_overhead() {
 // regression gate (ci/bench_compare.py) checks.
 struct StageRates {
   double amp_scalar = 0.0;
-  double amp_block = 0.0;
-  double sigma_delta_block = 0.0;
-  double cic_block = 0.0;
   double channel_scalar = 0.0;
   double channel_block = 0.0;
   /// Channel block path with the trace recorder compiled in but explicitly
@@ -328,15 +321,8 @@ struct StageRates {
   /// like channel_block_sps (a tracing hook that slows the disabled hot path
   /// >20% is a regression).
   double channel_block_tracing_off = 0.0;
-  /// Cross-sensor SIMD lanes (simd::ChannelBatch over kBatchChannels
-  /// channels, aggregate channel-samples/s). channel_batch / channel_block is
-  /// the PR's gated ratio: per-sample cost with W sensors per instruction vs
-  /// the scalar fused frame.
-  double channel_batch = 0.0;
   double thermal_step = 0.0;
 };
-
-constexpr int kBatchChannels = 8;  // a multiple of every lane width
 
 // Repeats `body(batch)` until ~0.2 s has elapsed; returns samples/second.
 template <typename Body>
@@ -366,24 +352,7 @@ StageRates measure_stages() {
       for (int i = 0; i < kFrame; ++i)
         sink += amp.step(util::volts(1e-3), dt);
     });
-    std::vector<double> in(kFrame, 1e-3), out(kFrame);
-    s.amp_block = rate_per_second(
-        kFrame, [&] { amp.process_block(in, out, dt); });
     if (sink == 42.0) std::printf(" ");  // keep the scalar loop live
-  }
-  {
-    analog::SigmaDeltaModulator sd{analog::SigmaDeltaSpec{}, util::Rng{8}};
-    std::vector<double> in(kFrame, 0.2), bits(kFrame);
-    s.sigma_delta_block =
-        rate_per_second(kFrame, [&] { (void)sd.process_block(in, bits); });
-  }
-  {
-    dsp::CicDecimator cic{3, kFrame};
-    std::vector<double> in(kFrame, 1.0), out(4);
-    for (int i = 0; i < kFrame; ++i) in[static_cast<std::size_t>(i)] =
-        (i % 3 == 0) ? 1.0 : -1.0;
-    s.cic_block =
-        rate_per_second(kFrame, [&] { (void)cic.push_block(in, out); });
   }
   {
     // The gated pair: alternate short scalar/block windows and keep the best
@@ -393,18 +362,6 @@ StageRates measure_stages() {
     isif::InputChannel chf{isif::ChannelConfig{}, util::Rng{2}};
     isif::InputChannel cht{isif::ChannelConfig{}, util::Rng{2}};
     std::vector<double> frame(kFrame, 1e-3);
-    // The batch side: kBatchChannels identical channels advanced as lane
-    // groups; aggregate channel-samples/s is directly comparable to
-    // channel_block (same per-sample work, W sensors per instruction).
-    std::vector<std::unique_ptr<isif::InputChannel>> batch_channels;
-    for (int c = 0; c < kBatchChannels; ++c)
-      batch_channels.push_back(std::make_unique<isif::InputChannel>(
-          isif::ChannelConfig{}, util::Rng{2}));
-    std::vector<simd::ChannelFrameInput> batch_in;
-    for (auto& bc : batch_channels)
-      batch_in.push_back(simd::ChannelFrameInput{bc.get(), frame});
-    std::vector<isif::ChannelSample> batch_out(
-        static_cast<std::size_t>(kBatchChannels));
     double sink = 0.0;
     for (int pass = 0; pass < 3; ++pass) {
       s.channel_scalar = std::max(
@@ -415,11 +372,6 @@ StageRates measure_stages() {
       s.channel_block = std::max(
           s.channel_block, rate_per_second(kFrame, [&] {
             sink += chf.process_frame(frame).value;
-          }));
-      s.channel_batch = std::max(
-          s.channel_batch, rate_per_second(kBatchChannels * kFrame, [&] {
-            simd::ChannelBatch::process_frames(batch_in, batch_out);
-            sink += batch_out.front().value;
           }));
       // Same block path under an explicit tracing kill-switch: the window
       // rides the same alternation so clock wander hits all three alike.
@@ -564,17 +516,11 @@ void write_json_report(const std::vector<std::pair<std::string, RunResult>>& mod
         buf, sizeof buf,
         "  \"stages\": {\n"
         "    \"amp_scalar_sps\": %.0f,\n"
-        "    \"amp_block_sps\": %.0f,\n"
-        "    \"sigma_delta_block_sps\": %.0f,\n"
-        "    \"cic_block_sps\": %.0f,\n"
         "    \"channel_scalar_sps\": %.0f,\n"
         "    \"channel_block_sps\": %.0f,\n"
         "    \"channel_block_over_scalar\": %.3f,\n"
         "    \"channel_block_tracing_off_sps\": %.0f,\n"
         "    \"channel_tracing_off_over_block\": %.3f,\n"
-        "    \"lane_width\": %d,\n"
-        "    \"channel_batch_sps\": %.0f,\n"
-        "    \"channel_batch_over_block\": %.3f,\n"
         "    \"fleet_nockpt_sps\": %.0f,\n"
         "    \"fleet_ckpt_sps\": %.0f,\n"
         "    \"fleet_ckpt_over_nockpt\": %.3f,\n"
@@ -582,18 +528,13 @@ void write_json_report(const std::vector<std::pair<std::string, RunResult>>& mod
         "    \"checkpoint_image_bytes\": %zu,\n"
         "    \"thermal_step_sps\": %.0f\n"
         "  },\n",
-        stages.amp_scalar, stages.amp_block, stages.sigma_delta_block,
-        stages.cic_block, stages.channel_scalar, stages.channel_block,
+        stages.amp_scalar, stages.channel_scalar, stages.channel_block,
         stages.channel_scalar > 0.0
             ? stages.channel_block / stages.channel_scalar
             : 0.0,
         stages.channel_block_tracing_off,
         stages.channel_block > 0.0
             ? stages.channel_block_tracing_off / stages.channel_block
-            : 0.0,
-        simd::active_lane_width(), stages.channel_batch,
-        stages.channel_block > 0.0
-            ? stages.channel_batch / stages.channel_block
             : 0.0,
         ckpt.nockpt_sps, ckpt.ckpt_sps, ckpt.ratio, ckpt.interval,
         ckpt.image_bytes, stages.thermal_step);
@@ -680,9 +621,6 @@ int main() {
   std::printf("\nper-stage micro throughput (samples/s):\n");
   const StageRates stages = measure_stages();
   std::printf("  %-22s %12.3e\n", "amp scalar", stages.amp_scalar);
-  std::printf("  %-22s %12.3e\n", "amp block", stages.amp_block);
-  std::printf("  %-22s %12.3e\n", "sigma-delta block", stages.sigma_delta_block);
-  std::printf("  %-22s %12.3e\n", "cic block", stages.cic_block);
   std::printf("  %-22s %12.3e\n", "channel scalar ticks", stages.channel_scalar);
   std::printf("  %-22s %12.3e  (%.2fx scalar)\n", "channel block frames",
               stages.channel_block,
@@ -694,12 +632,6 @@ int main() {
               stages.channel_block > 0.0
                   ? stages.channel_block_tracing_off / stages.channel_block
                   : 0.0);
-  std::printf("  %-22s %12.3e  (%.2fx block, lane width %d)\n",
-              "channel batch lanes", stages.channel_batch,
-              stages.channel_block > 0.0
-                  ? stages.channel_batch / stages.channel_block
-                  : 0.0,
-              simd::active_lane_width());
   std::printf("  %-22s %12.3e\n", "thermal die step", stages.thermal_step);
 
   const CheckpointOverhead ckpt = measure_checkpoint_overhead();

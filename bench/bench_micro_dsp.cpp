@@ -3,7 +3,6 @@
 // simulated seconds at the modulator clock) complete in minutes.
 #include <benchmark/benchmark.h>
 
-#include <array>
 #include <vector>
 
 #include "analog/amplifier.hpp"
@@ -17,7 +16,6 @@
 #include "hydro/network.hpp"
 #include "isif/channel.hpp"
 #include "maf/die.hpp"
-#include "simd/channel_batch.hpp"
 
 namespace {
 
@@ -84,12 +82,11 @@ void BM_ChannelTick(benchmark::State& state) {
 }
 BENCHMARK(BM_ChannelTick);
 
-// --- per-stage block vs scalar (DESIGN.md §9) -------------------------------
-// Each pair measures the same work through the per-tick path and through the
-// block path; items_per_second is modulator samples per second either way, so
-// the ratio is the block speedup the CI gate in ci/bench_compare.py tracks.
-
-constexpr int kBlock = 128;  // one default decimation frame
+// --- per-tick stages vs the fused frame (DESIGN.md §9) ---------------------
+// BM_ChannelTick above times one modulator sample per iteration, so its rate
+// against BM_ChannelFrame's items_per_second is the fused-frame speedup
+// bench_fleet reports as channel_block_over_scalar; BM_AmpStep isolates one
+// per-tick stage.
 
 void BM_AmpStep(benchmark::State& state) {
   analog::InstrumentAmp amp{{}, util::hertz(256e3), util::Rng{11}};
@@ -102,71 +99,6 @@ void BM_AmpStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_AmpStep);
-
-void BM_AmpBlock(benchmark::State& state) {
-  analog::InstrumentAmp amp{{}, util::hertz(256e3), util::Rng{11}};
-  const util::Seconds dt{1.0 / 256e3};
-  std::array<double, kBlock> in{}, out{};
-  for (int i = 0; i < kBlock; ++i) in[static_cast<std::size_t>(i)] =
-      (i % 2 == 0) ? 1e-3 : -1e-3;
-  for (auto _ : state) {
-    amp.process_block(in, out, dt);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() * kBlock);
-}
-BENCHMARK(BM_AmpBlock);
-
-void BM_SigmaDeltaBlock(benchmark::State& state) {
-  analog::SigmaDeltaModulator sd{{}, util::Rng{1}};
-  std::array<double, kBlock> in{}, bits{};
-  for (int i = 0; i < kBlock; ++i) in[static_cast<std::size_t>(i)] =
-      (i % 2 == 0) ? 0.1 : -0.1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sd.process_block(in, bits));
-  }
-  state.SetItemsProcessed(state.iterations() * kBlock);
-}
-BENCHMARK(BM_SigmaDeltaBlock);
-
-void BM_CicPushBlock(benchmark::State& state) {
-  const int r = static_cast<int>(state.range(0));
-  dsp::CicDecimator cic{3, r};
-  std::vector<double> in(static_cast<std::size_t>(r));
-  for (int i = 0; i < r; ++i) in[static_cast<std::size_t>(i)] =
-      (i % 2 == 0) ? 1.0 : -1.0;
-  double out = 0.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cic.push_block(in, std::span<double>{&out, 1}));
-  }
-  state.SetItemsProcessed(state.iterations() * r);
-}
-BENCHMARK(BM_CicPushBlock)->Arg(32)->Arg(128);
-
-// --- cross-sensor SIMD lanes in isolation (DESIGN.md §13) -------------------
-// One lane group of W sensors through just the ΣΔ quantiser loop / just the
-// CIC integrator cascade; items_per_second counts sensor-samples, so the
-// W = 1 row is directly comparable to the scalar block rows above and the
-// W > 1 rows show the per-instruction win of each stage alone. Widths beyond
-// the host ISA lower to scalar code — same values, no speedup.
-
-void BM_SigmaDeltaLanes(benchmark::State& state) {
-  const int width = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simd::run_sigma_delta_lanes(kBlock, width));
-  }
-  state.SetItemsProcessed(state.iterations() * kBlock * width);
-}
-BENCHMARK(BM_SigmaDeltaLanes)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_CicLanes(benchmark::State& state) {
-  const int width = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simd::run_cic_lanes(kBlock, 3, kBlock, width));
-  }
-  state.SetItemsProcessed(state.iterations() * kBlock * width);
-}
-BENCHMARK(BM_CicLanes)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_ChannelFrame(benchmark::State& state) {
   isif::InputChannel ch{isif::ChannelConfig{}, util::Rng{2}};

@@ -21,15 +21,6 @@ come in two characters:
 * channel_tracing_off_over_block ratio >= 0.8 — machine-independent companion
   for the tracing overhead: both sides run in the same binary seconds apart,
   so a >20 % gap is the instrumentation, not the runner.
-* channel_batch_over_block ratio >= 2.0       — machine-independent. The
-  cross-sensor SIMD lanes aggregate channel-samples/s against the per-channel
-  block path in the same binary; on any vector host (lane width >= 2) losing
-  the 2x edge means the lanes stopped paying for themselves. Skipped with a
-  notice when the binary compiled to lane width 1 (AQUA_SIMD=OFF or a
-  no-vector host) — there the batch path IS the scalar arithmetic.
-* channel_batch_sps vs baseline               — absolute samples/s, 20 % slack,
-  compared only when the measured lane width equals the baseline's recorded
-  lane width (an SSE2-only runner against an AVX2 baseline tells us nothing).
 * fleet_ckpt_over_nockpt ratio >= 0.9         — machine-independent. The same
   32-sensor epoch loop with a durable checkpoint (serialize + atomic
   temp/fsync/rename) every 100 epochs, against the plain loop in the same
@@ -61,17 +52,10 @@ GATED_KEYS = ["channel_block_sps", "channel_block_tracing_off_sps"]
 RATIO_KEY = "channel_block_over_scalar"
 TRACING_RATIO_KEY = "channel_tracing_off_over_block"
 TRACING_RATIO_FLOOR = 0.80
-BATCH_RATIO_KEY = "channel_batch_over_block"
-BATCH_RATIO_FLOOR = 2.0
-BATCH_SPS_KEY = "channel_batch_sps"
-LANE_WIDTH_KEY = "lane_width"
 CKPT_RATIO_KEY = "fleet_ckpt_over_nockpt"
 CKPT_RATIO_FLOOR = 0.90
 WARN_KEYS = [
     "amp_scalar_sps",
-    "amp_block_sps",
-    "sigma_delta_block_sps",
-    "cic_block_sps",
     "channel_scalar_sps",
     "thermal_step_sps",
 ]
@@ -241,45 +225,6 @@ def main(argv):
                   "serialize/fsync path getting expensive, not runner "
                   "variance")
             failed = True
-
-    # The cross-sensor SIMD lane gates. Ratio first: machine-independent, but
-    # only meaningful when the binary actually compiled vector lanes.
-    lane_width = measured.get(LANE_WIDTH_KEY, 0)
-    batch_ratio = measured.get(BATCH_RATIO_KEY, 0.0)
-    if lane_width >= 2:
-        print(f"{BATCH_RATIO_KEY}: {batch_ratio:.2f} at lane width "
-              f"{lane_width} (must stay >= {BATCH_RATIO_FLOOR:.1f})")
-        if batch_ratio < BATCH_RATIO_FLOOR:
-            print("::error::the cross-sensor SIMD lanes deliver less than "
-                  f"{BATCH_RATIO_FLOOR:.0f}x the per-channel block path in "
-                  "the same binary — the lanes stopped paying for the "
-                  "gather/scatter overhead (structural regression, not "
-                  "runner variance)")
-            failed = True
-    else:
-        print(f"{BATCH_RATIO_KEY}: skipped — binary compiled to lane width "
-              f"{lane_width} (AQUA_SIMD=OFF or no vector ISA), the batch "
-              "path is the scalar arithmetic there")
-
-    # Absolute batch throughput: only comparable at equal lane width.
-    base_width = baseline.get(LANE_WIDTH_KEY, 0)
-    batch_sps = measured.get(BATCH_SPS_KEY)
-    base_batch_sps = baseline.get(BATCH_SPS_KEY, 0.0)
-    if batch_sps is not None and base_batch_sps > 0.0 \
-            and lane_width == base_width:
-        floor = base_batch_sps * (1.0 - REGRESSION_SLACK)
-        print(f"{BATCH_SPS_KEY}: measured {batch_sps:.3e}, baseline "
-              f"{base_batch_sps:.3e}, floor {floor:.3e} at lane width "
-              f"{lane_width}")
-        if batch_sps < floor:
-            print(f"::error::{BATCH_SPS_KEY} regressed "
-                  f">{100 * REGRESSION_SLACK:.0f} % vs the committed "
-                  f"baseline at the same lane width ({batch_sps:.3e} < "
-                  f"{floor:.3e} samples/s)")
-            failed = True
-    elif batch_sps is not None and lane_width != base_width:
-        print(f"{BATCH_SPS_KEY}: absolute gate skipped — measured lane width "
-              f"{lane_width} vs baseline {base_width}, not comparable")
 
     for key in WARN_KEYS:
         got = measured.get(key)

@@ -51,33 +51,6 @@ void InstrumentAmp::commit_block(const BlockKernel& k) {
   saturated_ = k.saturated;
 }
 
-void InstrumentAmp::fill_noise(std::span<double> white,
-                               std::span<double> flicker) {
-  // Each noise source owns an independent stream, so draining n draws from
-  // one before the other leaves both streams exactly where n interleaved
-  // step() calls would (DESIGN.md §9).
-  white_.fill(white);
-  flicker_.fill(flicker);
-}
-
-void InstrumentAmp::process_block(std::span<const double> in,
-                                  std::span<double> out, Seconds dt,
-                                  Kelvin ambient) {
-  if (out.size() < in.size())
-    throw std::invalid_argument("InstrumentAmp: output block too small");
-  const std::size_t n = in.size();
-  if (white_scratch_.size() < n) {
-    white_scratch_.resize(n);
-    flicker_scratch_.resize(n);
-  }
-  fill_noise(std::span<double>{white_scratch_.data(), n},
-             std::span<double>{flicker_scratch_.data(), n});
-  BlockKernel k = begin_block(dt, ambient);
-  for (std::size_t i = 0; i < n; ++i)
-    out[i] = k.step(in[i], white_scratch_[i], flicker_scratch_[i]);
-  commit_block(k);
-}
-
 void InstrumentAmp::reset() {
   white_.reset();
   flicker_.reset();

@@ -8,8 +8,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
-#include <vector>
 
 #include "analog/noise.hpp"
 #include "sim/integrator.hpp"
@@ -44,21 +42,10 @@ class InstrumentAmp {
   double step(util::Volts differential_input, util::Seconds dt,
               util::Kelvin ambient = util::celsius(25.0));
 
-  /// Block execution: amplifies in.size() samples (volts, one per tick of
-  /// `dt`) into `out`. Bit-identical to in.size() step() calls — same noise
-  /// draw order, same FP operation order per sample — but the noise draws are
-  /// batched into an internal scratch buffer and the bandwidth pole's decay
-  /// factor is computed once per block instead of once per sample. The
-  /// scratch grows to the largest block seen and is then reused (no
-  /// steady-state allocation).
-  void process_block(std::span<const double> in, std::span<double> out,
-                     util::Seconds dt,
-                     util::Kelvin ambient = util::celsius(25.0));
-
   /// Register-resident per-block state for fused frame kernels
-  /// (isif::InputChannel::process_frame and this class's process_block).
-  /// Build with begin_block(), call step() once per sample with that
-  /// sample's pre-drawn noise values, then commit_block(). step() performs
+  /// (isif::InputChannel::process_frame). Build with begin_block(), call
+  /// step() once per sample with that sample's noise draws (NoiseKernel),
+  /// then commit_block(). step() performs
   /// the identical FP operations, in the identical order, as
   /// InstrumentAmp::step() — the block-execution contract (DESIGN.md §9).
   struct BlockKernel {
@@ -78,9 +65,6 @@ class InstrumentAmp {
                                         util::Kelvin ambient) const;
   /// Writes a kernel's state (pole value, saturation flag) back.
   void commit_block(const BlockKernel& k);
-  /// Batched draws from the amp's two independent noise streams — exactly the
-  /// values out.size() interleaved step() calls would consume.
-  void fill_noise(std::span<double> white, std::span<double> flicker);
 
   /// Draw kernels for fully fused frame loops: the amp's two noise streams as
   /// register-resident state, drawn one sample at a time in the same
@@ -129,8 +113,6 @@ class InstrumentAmp {
   FlickerNoise flicker_;
   sim::FirstOrderLag pole_;
   bool saturated_ = false;
-  std::vector<double> white_scratch_;    // block-path noise staging
-  std::vector<double> flicker_scratch_;
 };
 
 }  // namespace aqua::analog

@@ -7,7 +7,6 @@
 #include <array>
 #include <bit>
 #include <cmath>
-#include <span>
 
 #include "state/rng_io.hpp"
 #include "util/rng.hpp"
@@ -23,10 +22,6 @@ class WhiteNoise {
   WhiteNoise(double density, util::Hertz sample_rate, util::Rng rng);
 
   double sample();
-  /// Batched draw: writes out.size() consecutive samples, advancing the
-  /// stream exactly as out.size() sample() calls would (bit-identical values
-  /// and stream position — the block-execution contract, DESIGN.md §9).
-  void fill(std::span<double> out);
   /// Rewinds the draw stream to its construction state, so a reset component
   /// replays bit-identically (the library-wide reset contract, DESIGN.md §8).
   void reset();
@@ -62,9 +57,6 @@ class FlickerNoise {
                util::Hertz sample_rate, util::Rng rng);
 
   double sample();
-  /// Batched draw; same contract as WhiteNoise::fill — bit-identical to
-  /// out.size() consecutive sample() calls.
-  void fill(std::span<double> out);
   /// Restores rows, counter and draw stream to their construction state.
   void reset();
 
@@ -92,16 +84,10 @@ class FlickerNoise {
                   // round to the same bits (normal range) — still within the
                   // bit-identity contract.
     bool primed;
-    /// draw() with the row's Gaussian supplied by the caller instead of drawn
-    /// from the kernel's own stream. The cross-sensor SIMD layer uses this to
-    /// feed lane-parallel Gaussian draws through the (inherently sequential)
-    /// Voss–McCartney chain; draw() is exactly draw_with(rng.gaussian()) —
-    /// the row draw is the kernel's only stream use, so hoisting it to the
-    /// call site changes no value and no stream position.
-    double draw_with(double row_gaussian) {
+    double draw() {
       ++counter;
       const int row = std::countr_zero(counter) % kRows;
-      rows[static_cast<std::size_t>(row)] = row_gaussian;
+      rows[static_cast<std::size_t>(row)] = rng.gaussian();
       const int top = primed ? row : kRows - 1;
       for (int j = top; j >= 0; --j)
         partial[static_cast<std::size_t>(j)] =
@@ -110,7 +96,6 @@ class FlickerNoise {
       primed = true;
       return partial[0] * norm;
     }
-    double draw() { return draw_with(rng.gaussian()); }
   };
   [[nodiscard]] BlockKernel begin_block() const {
     BlockKernel k{rng_, rows_, {}, counter_,

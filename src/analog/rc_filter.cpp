@@ -21,13 +21,6 @@ double RcLowpass::step(double input, Seconds dt) {
   return x;
 }
 
-void RcLowpass::process_block(std::span<double> inout, Seconds dt) {
-  for (auto& s : stages_) {
-    const double a = s.decay(dt);
-    for (double& x : inout) x = s.step_with_decay(x, a);
-  }
-}
-
 RcLowpass::BlockKernel RcLowpass::begin_block(Seconds dt) const {
   BlockKernel k;
   k.poles = static_cast<int>(stages_.size());

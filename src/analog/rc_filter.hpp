@@ -5,7 +5,6 @@
 #pragma once
 
 #include <array>
-#include <span>
 #include <vector>
 
 #include "sim/integrator.hpp"
@@ -20,12 +19,6 @@ class RcLowpass {
   RcLowpass(util::Hertz fc, int poles = 1);
 
   double step(double input, util::Seconds dt);
-
-  /// Filters the block in place, one sample per tick of `dt`. Stage-major:
-  /// each pole sweeps the whole block with its decay factor hoisted out of
-  /// the loop. Per sample each stage applies the identical FP update as
-  /// step(), so the result is bit-identical to per-sample stepping.
-  void process_block(std::span<double> inout, util::Seconds dt);
 
   /// Register-resident per-block state for fused frame kernels (DESIGN.md
   /// §9). step() applies the identical FP update as the scalar step() for

@@ -52,24 +52,6 @@ void SigmaDeltaModulator::commit_block(const BlockKernel& k) {
   overloaded_ = k.last_overload;
 }
 
-void SigmaDeltaModulator::fill_dither(std::span<double> out) {
-  DitherKernel k = begin_dither_block();
-  for (double& x : out) x = k.draw();
-  commit_dither_block(k);
-}
-
-bool SigmaDeltaModulator::process_block(std::span<const double> in_volts,
-                                        std::span<double> bits) {
-  if (bits.size() < in_volts.size())
-    throw std::invalid_argument("SigmaDeltaModulator: bit block too small");
-  const double dither = spec_.dither_lsb;
-  BlockKernel k = begin_block();
-  for (std::size_t i = 0; i < in_volts.size(); ++i)
-    bits[i] = k.step(in_volts[i], rng_.gaussian(0.0, dither));
-  commit_block(k);
-  return k.any_overload;
-}
-
 void SigmaDeltaModulator::reset() {
   s1_ = s2_ = 0.0;
   prev_bit_ = 1;

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
 
 #include "state/rng_io.hpp"
 #include "util/rng.hpp"
@@ -30,18 +29,13 @@ class SigmaDeltaModulator {
   /// One modulator clock: input in volts, output ±1 bitstream value.
   int step(util::Volts input);
 
-  /// Block execution: modulates in.size() samples (volts) into ±1.0 bits
-  /// ready for the CIC, keeping the loop state in registers across the block.
-  /// Bit-identical to in.size() step() calls (same dither draw per sample,
-  /// same FP order). Returns true if ANY sample in the block overloaded the
-  /// stable input range — the per-block latch the channel needs; overloaded()
-  /// afterwards reports the LAST sample, exactly as after scalar stepping.
-  bool process_block(std::span<const double> in_volts, std::span<double> bits);
-
   /// Register-resident per-block state for fused frame kernels (DESIGN.md
-  /// §9). step() takes the sample's pre-drawn dither value (fill_dither) and
-  /// performs the identical FP operations, in the identical order, as the
-  /// scalar step(); it returns the ±1.0 bit.
+  /// §9). step() takes the sample's dither draw (DitherKernel) and performs
+  /// the identical FP operations, in the identical order, as the scalar
+  /// step(); it returns the ±1.0 bit. any_overload latches whether ANY sample
+  /// of the block overloaded the stable input range — the per-block flag the
+  /// channel needs; after commit_block() overloaded() reports the LAST
+  /// sample, exactly as after scalar stepping.
   struct BlockKernel {
     double fs, leak, sat, s1, s2, fb;
     bool last_overload, any_overload;
@@ -61,9 +55,6 @@ class SigmaDeltaModulator {
   };
   [[nodiscard]] BlockKernel begin_block() const;
   void commit_block(const BlockKernel& k);
-  /// Batched dither draws: exactly the values out.size() step() calls would
-  /// add, drawn in order from the modulator's own stream.
-  void fill_dither(std::span<double> out);
 
   /// Draw kernel for fully fused frame loops: the dither stream as
   /// register-resident state (DESIGN.md §9).

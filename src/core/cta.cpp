@@ -123,11 +123,10 @@ Hertz CtaAnemometer::control_rate() const {
                isif_.config().channel.decimation};
 }
 
-void CtaAnemometer::tick(const maf::Environment& env) {
+CtaAnemometer::BridgeDifferentials CtaAnemometer::step_plant(
+    const maf::Environment& env) {
   const Seconds dt = tick_period();
   t_ += dt;
-  if (++tick_phase_ >= isif_.config().channel.decimation) tick_phase_ = 0;
-
   package_.step(dt, env.pressure);
   const Volts supply = isif_.dac(0).update(dt);
 
@@ -144,102 +143,56 @@ void CtaAnemometer::tick(const maf::Environment& env) {
   die_.set_heater_powers(sol_a.p_bot_a, sol_b.p_bot_a,
                          sol_a.p_bot_b + sol_b.p_bot_b);
   die_.step(dt, env);
-
-  const auto sample_a =
-      isif_.channel(0).tick(sol_a.differential, env.fluid_temperature);
-  const auto sample_b =
-      isif_.channel(1).tick(sol_b.differential, env.fluid_temperature);
-  if (sample_b) pending_dir_code_ = sample_b->value;
-  if (sample_a) {
-    const double max_code = 32767.0;  // 16-bit channel word
-    pending_error_code_ = static_cast<double>(sample_a->code) / max_code;
-    adc_overload_ = sample_a->overload;
-    if (adc_overload_) kAdcOverloadTicks.add(1);
-    note_frame_boundary();
-    isif_.firmware().tick();
-  }
+  return {sol_a.differential, sol_b.differential};
 }
 
-void CtaAnemometer::begin_batch_frame() const {
-  if (tick_phase_ != 0)
-    throw std::logic_error(
-        "CtaAnemometer: tick_frame needs a frame-aligned loop "
-        "(tick_phase() == 0); advance with tick() to the boundary first");
-}
-
-void CtaAnemometer::stage_tick_pre_thermal(const maf::Environment& env,
-                                           int i) {
-  const Seconds dt = tick_period();
-  t_ += dt;
-  package_.step(dt, env.pressure);
-  const Volts supply = isif_.dac(0).update(dt);
-
-  const analog::BridgeArms arms_a{top_a_, die_.heater_a_resistance(),
-                                  config_.top_resistor_b,
-                                  die_.reference_resistance()};
-  const analog::BridgeArms arms_b{top_a_, die_.heater_b_resistance(),
-                                  config_.top_resistor_b,
-                                  die_.reference_resistance()};
-  const auto sol_a = analog::solve_bridge(arms_a, supply);
-  const auto sol_b = analog::solve_bridge(arms_b, supply);
-
-  die_.set_heater_powers(sol_a.p_bot_a, sol_b.p_bot_a,
-                         sol_a.p_bot_b + sol_b.p_bot_b);
-  die_.step_pre_thermal(env);
-
-  frame_diff_a_[static_cast<std::size_t>(i)] = sol_a.differential.value();
-  frame_diff_b_[static_cast<std::size_t>(i)] = sol_b.differential.value();
-}
-
-void CtaAnemometer::stage_tick_post_thermal(const maf::Environment& env) {
-  die_.step_post_thermal(tick_period(), env);
-}
-
-void CtaAnemometer::finish_batch_frame(const isif::ChannelSample& sample_a,
-                                       const isif::ChannelSample& sample_b) {
-  pending_dir_code_ = sample_b.value;
+void CtaAnemometer::end_frame(const isif::ChannelSample& sample_a) {
   const double max_code = 32767.0;  // 16-bit channel word
   pending_error_code_ = static_cast<double>(sample_a.code) / max_code;
   adc_overload_ = sample_a.overload;
   if (adc_overload_) kAdcOverloadTicks.add(1);
-  note_frame_boundary();
-  isif_.firmware().tick();
-}
-
-void CtaAnemometer::tick_frame(const maf::Environment& env) {
-  begin_batch_frame();
-  const Seconds dt = tick_period();
-  const int frame = isif_.config().channel.decimation;
-
-  // Per-tick physics, exactly as tick() runs it; the channel inputs are
-  // staged instead of pushed through the signal chain one at a time. Nothing
-  // in this loop reads channel or firmware state, and the firmware only acts
-  // at the frame boundary — which is why deferring the chain to one block per
-  // channel reproduces the scalar interleaving bit-for-bit (DESIGN.md §9).
-  // This is the W = 1 instance of the batch flow: stage pre-thermal physics,
-  // relax the thermal network, stage the post-thermal remainder.
-  for (int i = 0; i < frame; ++i) {
-    stage_tick_pre_thermal(env, i);
-    die_.thermal_network().step(dt);
-    stage_tick_post_thermal(env);
-  }
-
-  const isif::ChannelSample sample_a =
-      isif_.channel(0).process_frame(frame_diff_a_, env.fluid_temperature);
-  const isif::ChannelSample sample_b =
-      isif_.channel(1).process_frame(frame_diff_b_, env.fluid_temperature);
-  finish_batch_frame(sample_a, sample_b);
-}
-
-/// Blackbox edge detection at the decimated (frame) rate, shared by the
-/// scalar and block paths so both record identical histories.
-void CtaAnemometer::note_frame_boundary() {
   if (adc_overload_ != adc_overload_prev_) {
     flight_.record(t_.value(), adc_overload_
                                    ? obs::FlightRecordKind::kAdcOverloadEnter
                                    : obs::FlightRecordKind::kAdcOverloadExit);
     adc_overload_prev_ = adc_overload_;
   }
+  isif_.firmware().tick();
+}
+
+void CtaAnemometer::tick(const maf::Environment& env) {
+  if (++tick_phase_ >= isif_.config().channel.decimation) tick_phase_ = 0;
+  const BridgeDifferentials diff = step_plant(env);
+  const auto sample_a = isif_.channel(0).tick(diff.a, env.fluid_temperature);
+  const auto sample_b = isif_.channel(1).tick(diff.b, env.fluid_temperature);
+  if (sample_b) pending_dir_code_ = sample_b->value;
+  if (sample_a) end_frame(*sample_a);
+}
+
+void CtaAnemometer::tick_frame(const maf::Environment& env) {
+  if (tick_phase_ != 0)
+    throw std::logic_error(
+        "CtaAnemometer: tick_frame needs a frame-aligned loop "
+        "(tick_phase() == 0); advance with tick() to the boundary first");
+
+  // Per-tick physics, exactly as tick() runs it; the channel inputs are
+  // staged instead of pushed through the signal chain one at a time. Nothing
+  // in this loop reads channel or firmware state, and the firmware only acts
+  // at the frame boundary — which is why deferring the chain to one block per
+  // channel reproduces the scalar interleaving bit-for-bit (DESIGN.md §9).
+  const std::size_t frame = frame_diff_a_.size();
+  for (std::size_t i = 0; i < frame; ++i) {
+    const BridgeDifferentials diff = step_plant(env);
+    frame_diff_a_[i] = diff.a.value();
+    frame_diff_b_[i] = diff.b.value();
+  }
+
+  const isif::ChannelSample sample_a =
+      isif_.channel(0).process_frame(frame_diff_a_, env.fluid_temperature);
+  const isif::ChannelSample sample_b =
+      isif_.channel(1).process_frame(frame_diff_b_, env.fluid_temperature);
+  pending_dir_code_ = sample_b.value;
+  end_frame(sample_a);
 }
 
 void CtaAnemometer::control_update() {

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "dsp/biquad.hpp"
@@ -111,33 +110,6 @@ class CtaAnemometer {
   /// Modulator ticks since the last frame boundary (0 = aligned).
   [[nodiscard]] int tick_phase() const { return tick_phase_; }
 
-  // --- cross-sensor batch staging --------------------------------------------
-  // tick_frame() decomposed for simd::CtaFrameBatch (DESIGN.md §13), which
-  // interleaves many loops' per-tick physics around one shared
-  // ThermalNetwork::step_batch and then runs the channels through
-  // simd::ChannelBatch. tick_frame() itself is built from these pieces (the
-  // W = 1 instance of the batch flow), so both paths share one definition of
-  // the frame and stay bit-identical by construction.
-  /// Frame-alignment guard: throws std::logic_error unless tick_phase() == 0.
-  void begin_batch_frame() const;
-  /// Tick i's physics up to and including the die's pre-thermal phase: time,
-  /// package, DAC settle, both bridge solves, heater powers, conductance
-  /// update; stages the bridge differentials at index i.
-  void stage_tick_pre_thermal(const maf::Environment& env, int i);
-  /// The post-thermal remainder of tick i (fouling growth).
-  void stage_tick_post_thermal(const maf::Environment& env);
-  /// The staged per-tick bridge differentials of the frame being built.
-  [[nodiscard]] std::span<const double> staged_diff_a() const {
-    return frame_diff_a_;
-  }
-  [[nodiscard]] std::span<const double> staged_diff_b() const {
-    return frame_diff_b_;
-  }
-  /// Frame tail after both channels produced their decimated samples:
-  /// firmware inputs, overload bookkeeping, blackbox edges, firmware tick.
-  void finish_batch_frame(const isif::ChannelSample& sample_a,
-                          const isif::ChannelSample& sample_b);
-
   /// Runs the loop for `duration` under a constant environment. Internally
   /// advances frame-by-frame (tick_frame) whenever aligned, falling back to
   /// scalar ticks for the unaligned head/tail — output is bit-identical to a
@@ -212,8 +184,20 @@ class CtaAnemometer {
   void load_state(state::Reader& r);
 
  private:
+  struct BridgeDifferentials {
+    util::Volts a, b;
+  };
+  /// One modulator tick of the plant, the physics tick() and tick_frame()
+  /// share: advances time, package and supply DAC, solves both bridges,
+  /// feeds their Joule powers to the die and steps it. Returns the bridge
+  /// differentials the two channels sample this tick.
+  BridgeDifferentials step_plant(const maf::Environment& env);
+  /// Frame boundary, shared by tick() and tick_frame() so both record
+  /// identical histories: latches the measurement channel's decimated sample
+  /// into the firmware inputs, notes overload edges in the blackbox and runs
+  /// the firmware tick.
+  void end_frame(const isif::ChannelSample& sample_a);
   void control_update();
-  void note_frame_boundary();
 
   CtaConfig config_;
   maf::MafDie die_;

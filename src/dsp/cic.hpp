@@ -16,7 +16,6 @@
 #include <cmath>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "state/serial.hpp"
@@ -35,14 +34,6 @@ class CicDecimator {
   /// full block of R inputs has been accumulated (normalised by the CIC gain
   /// (R·M)^N so that a constant input maps to itself).
   std::optional<double> push(double x);
-
-  /// Block execution: pushes x.size() modulator-rate samples, appending every
-  /// decimated output produced (⌊(phase + x.size()) / R⌋ of them) to `out`.
-  /// Returns the number of outputs written. Bit-identical to x.size() push()
-  /// calls — the integer datapath is exact, and the block loop keeps the
-  /// integrator cascade in registers instead of re-walking the state vector
-  /// per sample. `out` must have room for the outputs the block produces.
-  std::size_t push_block(std::span<const double> x, std::span<double> out);
 
   /// Register-resident per-block state for fused frame kernels (DESIGN.md
   /// §9): the integrator cascade and phase, with the comb side left in the

@@ -41,12 +41,10 @@ const obs::Histogram kWorkerUtilization{
 
 // Sensors per self-claimed chunk for an epoch of `n` sensors on `workers`
 // workers. At least four chunks per worker keep a small fleet's tail short;
-// large fleets take 8, the widest SIMD lane width, and the batch path always
-// does, so its lane groups stay full. Scheduling only — every chunking gives
-// bit-identical results.
-std::size_t chunk_size_for(std::size_t n, std::size_t workers, bool batch) {
+// large fleets take 8, the size that won the scheduler A/B (DESIGN.md §12).
+// Scheduling only — every chunking gives bit-identical results.
+std::size_t chunk_size_for(std::size_t n, std::size_t workers) {
   constexpr std::size_t kMaxChunk = 8;
-  if (batch) return kMaxChunk;
   return std::clamp<std::size_t>(n / (4 * workers), 1, kMaxChunk);
 }
 
@@ -248,19 +246,6 @@ void FleetEngine::snapshot_epoch_inputs() {
   }
 }
 
-void FleetEngine::publish_sample(std::size_t i) {
-  // Publish the sample fields into the SoA mirror (disjoint slot — safe from
-  // any worker) so cold readers never chase the node pointer.
-  const TraceSample& s = nodes_[i]->trace().back();
-  hot_.t_s[i] = s.t_s;
-  hot_.bridge_voltage[i] = s.bridge_voltage;
-  hot_.filtered_voltage[i] = s.filtered_voltage;
-  hot_.estimate_mps[i] = s.estimate_mps;
-  hot_.direction[i] = static_cast<std::int8_t>(s.direction);
-  hot_.has_sample[i] = 1;
-  kSensorSteps.add(1);
-}
-
 PipeState FleetEngine::snapshot_state(std::size_t i) const {
   PipeState state;
   state.mean_velocity_mps = hot_.mean_velocity_mps[i];
@@ -276,62 +261,18 @@ void FleetEngine::advance_sensor(std::size_t i) {
   const auto t0 = Clock::now();
 
   nodes_[i]->advance(snapshot_state(i), config_.epoch);
-  publish_sample(i);
+  // Publish the sample fields into the SoA mirror (disjoint slot — safe from
+  // any worker) so cold readers never chase the node pointer.
+  const TraceSample& s = nodes_[i]->trace().back();
+  hot_.t_s[i] = s.t_s;
+  hot_.bridge_voltage[i] = s.bridge_voltage;
+  hot_.filtered_voltage[i] = s.filtered_voltage;
+  hot_.estimate_mps[i] = s.estimate_mps;
+  hot_.direction[i] = static_cast<std::int8_t>(s.direction);
+  hot_.has_sample[i] = 1;
+  kSensorSteps.add(1);
 
   kSensorStepWall.observe(seconds_since(t0));
-}
-
-void FleetEngine::advance_sensor_group(std::span<const std::uint32_t> ids) {
-  // A singleton still goes through the fused kernel: the batch path's noise
-  // draw order differs from scalar advance, so falling back for groups of one
-  // would make results depend on how the fleet happened to be chunked — e.g.
-  // a chunk holding one frame-aligned sensor. Lane math is per-sensor, so
-  // group composition itself never changes results.
-  if (ids.empty()) return;
-  const obs::ScopedSpan group_span{"fleet.sensor_group", t_.value(),
-                                   static_cast<double>(ids.size())};
-  const auto t0 = Clock::now();
-
-  thread_local std::vector<SensorNode*> group_nodes;
-  thread_local std::vector<PipeState> group_states;
-  group_nodes.clear();
-  group_states.clear();
-  group_nodes.reserve(ids.size());
-  group_states.reserve(ids.size());
-  for (const std::uint32_t i : ids) {
-    group_nodes.push_back(nodes_[i].get());
-    group_states.push_back(snapshot_state(i));
-  }
-  SensorNode::advance_group(group_nodes, group_states, config_.epoch,
-                            config_.batch_lane_width);
-
-  // The lanes advance the whole group together, so per-sensor wall time is
-  // unobservable — split the group time evenly for the step histogram.
-  const double dt = seconds_since(t0) / static_cast<double>(ids.size());
-  for (const std::uint32_t i : ids) {
-    publish_sample(i);
-    kSensorStepWall.observe(dt);
-  }
-}
-
-void FleetEngine::advance_chunk(std::size_t begin, std::size_t end) {
-  if (config_.execution != ChannelExecution::kSimdBatch) {
-    for (std::size_t i = begin; i < end; ++i) advance_sensor(i);
-    return;
-  }
-  // Batch mode: frame-aligned sensors form one lane group (ascending id
-  // order); the rest — e.g. a node parked mid-frame by commissioning — step
-  // scalar. Either way each sensor consumes exactly its own RNG stream, so
-  // the split never perturbs results (DESIGN.md §13).
-  thread_local std::vector<std::uint32_t> batch_ids;
-  batch_ids.clear();
-  for (std::size_t i = begin; i < end; ++i) {
-    if (nodes_[i]->batch_eligible())
-      batch_ids.push_back(static_cast<std::uint32_t>(i));
-    else
-      advance_sensor(i);
-  }
-  advance_sensor_group(batch_ids);
 }
 
 void FleetEngine::claim_chunks(std::size_t worker) {
@@ -345,7 +286,8 @@ void FleetEngine::claim_chunks(std::size_t worker) {
     const std::size_t begin =
         next_chunk_.fetch_add(1, std::memory_order_relaxed) * chunk;
     if (begin >= n) break;
-    advance_chunk(begin, std::min(n, begin + chunk));
+    const std::size_t end = std::min(n, begin + chunk);
+    for (std::size_t i = begin; i < end; ++i) advance_sensor(i);
   }
   worker_busy_s_[worker] = seconds_since(t0);
 }
@@ -371,9 +313,7 @@ void FleetEngine::step_epoch(util::ThreadPool* pool) {
   // the caller, which then claims every chunk in order.
   const std::size_t workers = pool != nullptr ? pool->thread_count() : 1;
   worker_busy_s_.assign(workers, 0.0);
-  chunk_sensors_ =
-      chunk_size_for(nodes_.size(), workers,
-                     config_.execution == ChannelExecution::kSimdBatch);
+  chunk_sensors_ = chunk_size_for(nodes_.size(), workers);
   next_chunk_.store(0, std::memory_order_relaxed);
   const auto t_fanout = Clock::now();
   if (team_ != nullptr && pool == team_pool_) {
@@ -411,8 +351,6 @@ void FleetEngine::write_checkpoint(state::CheckpointWriter& ck) const {
     // live in *other* sections.
     w.u64(nodes_.size());
     w.f64(config_.epoch.value());
-    w.u8(static_cast<std::uint8_t>(config_.execution));
-    w.i32(config_.batch_lane_width);
     w.u64(net_.node_count());
     w.u64(net_.pipe_count());
     ck.end_section();
@@ -485,10 +423,6 @@ void FleetEngine::read_checkpoint(const state::CheckpointReader& ck) {
     if (std::bit_cast<std::uint64_t>(r.f64()) !=
         std::bit_cast<std::uint64_t>(config_.epoch.value()))
       throw state::Error("FleetEngine: checkpoint epoch length mismatch");
-    if (r.u8() != static_cast<std::uint8_t>(config_.execution))
-      throw state::Error("FleetEngine: checkpoint execution mode mismatch");
-    if (r.i32() != config_.batch_lane_width)
-      throw state::Error("FleetEngine: checkpoint lane width mismatch");
     if (r.u64() != net_.node_count() || r.u64() != net_.pipe_count())
       throw state::Error("FleetEngine: checkpoint network topology mismatch");
     r.expect_end();

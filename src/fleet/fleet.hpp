@@ -53,30 +53,10 @@
 
 namespace aqua::fleet {
 
-/// How the epoch loop advances its sensors (DESIGN.md §13).
-enum class ChannelExecution {
-  /// Per-sensor scalar stepping — the bit-identity reference path that the
-  /// legacy fleet determinism checksum is committed against.
-  kScalar,
-  /// Cross-sensor SIMD lanes: each chunk advances its frame-aligned sensors
-  /// as one simd::CtaFrameBatch group (batched thermal sweep + W-wide fused
-  /// channel chain); mid-frame sensors (e.g. freshly commissioned ones) fall
-  /// back to the scalar path without perturbing any neighbour's RNG stream.
-  /// Deterministic under its own committed checksum — invariant to lane
-  /// width, thread count and chunk size — but intentionally not bit-equal to
-  /// kScalar (different Gaussian transform; see simd/channel_batch.hpp).
-  kSimdBatch,
-};
-
 struct FleetConfig {
   /// Template for every sensor (placement and RNG stream are per-node).
   SensorNodeConfig sensor{};
   std::uint64_t root_seed = 42;
-  /// Scalar reference path by default; opt in to the SIMD lanes per fleet.
-  ChannelExecution execution = ChannelExecution::kScalar;
-  /// Lane width for kSimdBatch (0 = the width the simd objects were compiled
-  /// for; 1/2/4/8 force a width — any value reproduces the same results).
-  int batch_lane_width = 0;
   /// Network solve cadence; sensors integrate one epoch between solves.
   util::Seconds epoch{0.25};
   /// Demand multiplier vs simulation time (diurnal pattern; constant 1 by
@@ -266,16 +246,6 @@ class FleetEngine {
   /// sample fields back into the SoA outputs. Runs on pool workers for
   /// disjoint `i` — everything it touches is per-sensor.
   void advance_sensor(std::size_t i);
-  /// Advances the sensors in `ids` one epoch as a single cross-sensor SIMD
-  /// group (SensorNode::advance_group) and publishes each one's sample.
-  void advance_sensor_group(std::span<const std::uint32_t> ids);
-  /// One epoch for sensors [begin, end) under the configured execution mode:
-  /// scalar per-sensor stepping, or one batch group per call with scalar
-  /// fallback for sensors that are not frame-aligned.
-  void advance_chunk(std::size_t begin, std::size_t end);
-  /// Mirrors node `i`'s newest trace sample into the SoA outputs (disjoint
-  /// slot — safe from any worker).
-  void publish_sample(std::size_t i);
   /// The claim loop each worker of an epoch runs: takes the next chunk from
   /// the epoch cursor until the fleet is exhausted, and records how long
   /// worker `worker` was busy doing so.

@@ -1,11 +1,10 @@
 #include "fleet/sensor_node.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "hydro/profiles.hpp"
 #include "phys/fluid.hpp"
-#include "simd/cta_batch.hpp"
 #include "state/rng_io.hpp"
 
 namespace aqua::fleet {
@@ -130,10 +129,6 @@ void SensorNode::advance(const PipeState& state, Seconds duration) {
     }
   }
 
-  append_trace_sample(state);
-}
-
-void SensorNode::append_trace_sample(const PipeState& state) {
   TraceSample sample;
   sample.t_s = anemometer_.now().value();
   sample.bridge_voltage = anemometer_.bridge_voltage();
@@ -199,54 +194,6 @@ void SensorNode::load_state(state::Reader& r) {
     s.true_mean_mps = r.f64();
     s.direction = r.i32();
   }
-}
-
-void SensorNode::advance_group(std::span<SensorNode* const> nodes,
-                               std::span<const PipeState> states,
-                               Seconds duration, int lane_width) {
-  if (nodes.size() != states.size())
-    throw std::invalid_argument("advance_group: nodes/states size mismatch");
-  if (nodes.empty()) return;
-  const std::size_t n = nodes.size();
-
-  // Block arithmetic matches advance() exactly; CtaFrameBatch rejects groups
-  // whose loops disagree on tick period or decimation, so computing the block
-  // count from the first node is safe.
-  const int ticks_per_block = nodes[0]->config_.isif.channel.decimation;
-  const Seconds tc{ticks_per_block /
-                   nodes[0]->config_.isif.channel.modulator_clock.value()};
-  const long long blocks =
-      static_cast<long long>(std::ceil(duration.value() / tc.value()));
-
-  thread_local std::vector<cta::CtaAnemometer*> loops;
-  thread_local std::vector<maf::Environment> envs;
-  thread_local std::vector<double> ar_a, ar_b;
-  loops.clear();
-  loops.reserve(n);
-  for (SensorNode* node : nodes) loops.push_back(&node->anemometer_);
-  envs.resize(n);
-  ar_a.resize(n);
-  ar_b.resize(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    // Same expressions as advance(): per-node coefficients, in case nodes
-    // were configured with different correlation times.
-    ar_a[j] = std::exp(-tc.value() /
-                       nodes[j]->config_.turbulence_correlation.value());
-    ar_b[j] = std::sqrt(std::max(0.0, 1.0 - ar_a[j] * ar_a[j]));
-  }
-
-  for (long long blk = 0; blk < blocks; ++blk) {
-    for (std::size_t j = 0; j < n; ++j) {
-      SensorNode& node = *nodes[j];
-      node.turbulence_state_ =
-          ar_a[j] * node.turbulence_state_ + ar_b[j] * node.rng_.gaussian();
-      envs[j] = node.environment_for(states[j]);
-    }
-    simd::CtaFrameBatch::process_frame(loops, envs, lane_width);
-  }
-
-  for (std::size_t j = 0; j < n; ++j)
-    nodes[j]->append_trace_sample(states[j]);
 }
 
 }  // namespace aqua::fleet

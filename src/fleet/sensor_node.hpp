@@ -114,27 +114,6 @@ class SensorNode {
   /// turbulence stream superposed), then appends one trace sample.
   void advance(const PipeState& state, util::Seconds duration);
 
-  /// Advances every node by `duration` through the cross-sensor SIMD lanes
-  /// (simd::CtaFrameBatch): per decimation frame, each node draws its own
-  /// turbulence block from its private stream, all dies relax through one
-  /// batched thermal sweep, and all channels run W-wide through the fused
-  /// chain. Every node must be batch_eligible() and share the scalar path's
-  /// structural config; spans must be equally sized. Nodes' RNG streams are
-  /// consumed exactly as under scalar advance(), so mixing grouped and
-  /// per-node stepping across epochs never perturbs a neighbour's draws.
-  static void advance_group(std::span<SensorNode* const> nodes,
-                            std::span<const PipeState> states,
-                            util::Seconds duration, int lane_width = 0);
-
-  /// A node can join a batch group only while its loop is frame-aligned.
-  /// Commissioning can park the loop mid-frame; such a node permanently
-  /// advances through the scalar path (tick_phase is invariant modulo the
-  /// decimation), which is exactly what the scalar fallback rules in
-  /// DESIGN.md §13 specify.
-  [[nodiscard]] bool batch_eligible() const {
-    return anemometer_.tick_phase() == 0;
-  }
-
   /// Post-construction state: anemometer reset, turbulence zeroed, trace
   /// cleared, this node's RNG stream rewound — so the same stimulus replays
   /// bit-identically. An installed calibration fit is configuration and kept.
@@ -181,10 +160,6 @@ class SensorNode {
   /// environment (mirrors VinciRig::settled_voltage).
   [[nodiscard]] double settled_voltage(const maf::Environment& env,
                                        util::Seconds dwell);
-
-  /// Epoch bookkeeping shared by advance() and advance_group(): reads the
-  /// loop's outputs and appends one TraceSample for `state`.
-  void append_trace_sample(const PipeState& state);
 
   std::size_t index_;
   SensorPlacement placement_;

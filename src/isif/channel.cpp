@@ -85,37 +85,23 @@ std::optional<ChannelSample> InputChannel::tick(Volts differential_input,
   return make_sample(*decimated);
 }
 
-InputChannel::FrameKernels InputChannel::begin_frame(Kelvin ambient) {
-  if (frame_phase_ != 0)
-    throw std::logic_error(
-        "InputChannel: process_frame needs a frame-aligned channel "
-        "(frame_phase() == 0); advance with tick() to the boundary first");
-  const Seconds dt = tick_period();
-  return FrameKernels{amp_.begin_noise_block(), adc_.begin_dither_block(),
-                      amp_.begin_block(dt, ambient), lpf_.begin_block(dt),
-                      adc_.begin_block(), cic_.begin_block()};
-}
-
-ChannelSample InputChannel::commit_frame(const FrameKernels& k,
-                                         double decimated) {
-  amp_.commit_noise_block(k.noise);
-  adc_.commit_dither_block(k.dither);
-  amp_.commit_block(k.amp);
-  lpf_.commit_block(k.rc);
-  adc_.commit_block(k.adc);
-  cic_.commit_block(k.cic);
-  overload_latch_ = overload_latch_ || k.adc.any_overload;
-  return make_sample(decimated);
-}
-
 ChannelSample InputChannel::process_frame(
     std::span<const double> differential_volts, Kelvin ambient) {
   if (differential_volts.size() !=
       static_cast<std::size_t>(config_.decimation))
     throw std::logic_error("InputChannel: frame size must equal decimation");
+  if (frame_phase_ != 0)
+    throw std::logic_error(
+        "InputChannel: process_frame needs a frame-aligned channel "
+        "(frame_phase() == 0); advance with tick() to the boundary first");
 
-  FrameKernels k = begin_frame(ambient);
-  const std::size_t n = differential_volts.size();
+  const Seconds dt = tick_period();
+  analog::InstrumentAmp::NoiseKernel noise = amp_.begin_noise_block();
+  analog::SigmaDeltaModulator::DitherKernel dither = adc_.begin_dither_block();
+  analog::InstrumentAmp::BlockKernel amp = amp_.begin_block(dt, ambient);
+  analog::RcLowpass::BlockKernel rc = lpf_.begin_block(dt);
+  analog::SigmaDeltaModulator::BlockKernel adc = adc_.begin_block();
+  dsp::CicDecimator::BlockKernel cic = cic_.begin_block();
 
   // Fully fused sample-major loop: per sample the draws and stages run in
   // exactly the order (and with exactly the FP operations) of tick() — white,
@@ -126,15 +112,23 @@ ChannelSample InputChannel::process_frame(
   // serialising stage by stage, and the noise draws hide under the recurrence
   // latency.
   double decimated = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double white = k.noise.white.draw();
-    const double flicker = k.noise.flicker.draw();
-    const double amplified = k.amp.step(differential_volts[i], white, flicker);
-    const double filtered = k.rc.step(amplified);
-    const double bit = k.adc.step(filtered, k.dither.draw());
-    if (k.cic.push_bit(bit)) decimated = emit_frame_output(k.cic);
+  for (const double in : differential_volts) {
+    const double white = noise.white.draw();
+    const double flicker = noise.flicker.draw();
+    const double amplified = amp.step(in, white, flicker);
+    const double filtered = rc.step(amplified);
+    const double bit = adc.step(filtered, dither.draw());
+    if (cic.push_bit(bit)) decimated = cic_.emit(cic);
   }
-  return commit_frame(k, decimated);
+
+  amp_.commit_noise_block(noise);
+  adc_.commit_dither_block(dither);
+  amp_.commit_block(amp);
+  lpf_.commit_block(rc);
+  adc_.commit_block(adc);
+  cic_.commit_block(cic);
+  overload_latch_ = overload_latch_ || adc.any_overload;
+  return make_sample(decimated);
 }
 
 Hertz InputChannel::output_rate() const {

@@ -81,36 +81,6 @@ class InputChannel {
   /// process_frame() may be called).
   [[nodiscard]] int frame_phase() const { return frame_phase_; }
 
-  /// Everything one decimation frame of this channel needs, as register-
-  /// resident kernel state outside the object: the two noise draw streams,
-  /// the dither stream, and the amp/RC/ΣΔ/CIC stage kernels. process_frame()
-  /// is begin_frame() + the fused loop + commit_frame(); the cross-sensor
-  /// SIMD layer (simd::ChannelBatch, DESIGN.md §13) uses the same pair to
-  /// gather N channels' state into structure-of-arrays lanes, run the fused
-  /// loop W sensors per instruction, and scatter the advanced state back.
-  struct FrameKernels {
-    analog::InstrumentAmp::NoiseKernel noise;
-    analog::SigmaDeltaModulator::DitherKernel dither;
-    analog::InstrumentAmp::BlockKernel amp;
-    analog::RcLowpass::BlockKernel rc;
-    analog::SigmaDeltaModulator::BlockKernel adc;
-    dsp::CicDecimator::BlockKernel cic;
-  };
-  /// Captures the frame kernels (hoisted per-block constants + live state).
-  /// Requires frame alignment (frame_phase() == 0) — throws std::logic_error
-  /// otherwise, exactly like process_frame.
-  [[nodiscard]] FrameKernels begin_frame(
-      util::Kelvin ambient = util::celsius(25.0));
-  /// Runs the comb cascade on the kernel's newest integrator word — call
-  /// exactly once per frame, when the CIC kernel reports an output due.
-  double emit_frame_output(const dsp::CicDecimator::BlockKernel& k) {
-    return cic_.emit(k);
-  }
-  /// Writes the advanced kernel state back and produces the frame's sample
-  /// (overload latch, fault handling, quantisation, telemetry) — the exact
-  /// tail of process_frame.
-  ChannelSample commit_frame(const FrameKernels& k, double decimated);
-
   void set_gain(double gain) { amp_.set_gain(gain); }
   [[nodiscard]] double gain() const { return amp_.gain(); }
 

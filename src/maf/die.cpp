@@ -163,17 +163,9 @@ void MafDie::update_conductances(const Environment& env) {
 }
 
 void MafDie::step(Seconds dt, const Environment& env) {
-  step_pre_thermal(env);
-  net_.step(dt);
-  step_post_thermal(dt, env);
-}
-
-void MafDie::step_pre_thermal(const Environment& env) {
   if (!phys::survives(spec_.membrane, env.pressure)) membrane_intact_ = false;
   update_conductances(env);
-}
-
-void MafDie::step_post_thermal(Seconds dt, const Environment& env) {
+  net_.step(dt);
   if (env.medium == phys::Medium::kWater) {
     fouling_a_.step(dt, net_.temperature(n_heater_a_), env);
     fouling_b_.step(dt, net_.temperature(n_heater_b_), env);

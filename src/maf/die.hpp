@@ -90,19 +90,6 @@ class MafDie {
   /// Advances the thermal and fouling state by dt under `env`.
   void step(util::Seconds dt, const Environment& env);
 
-  // step() split into its three phases so the cross-sensor SIMD layer can
-  // interleave many dies' thermal relaxations through one shared
-  // ThermalNetwork::step_batch sweep. step() is exactly step_pre_thermal +
-  // thermal_network().step(dt) + step_post_thermal, so batched and scalar
-  // execution are bit-identical.
-  /// Membrane survival check + flow/fouling-dependent conductance update.
-  void step_pre_thermal(const Environment& env);
-  /// Fouling growth from the just-relaxed heater temperatures (water only).
-  void step_post_thermal(util::Seconds dt, const Environment& env);
-  /// The die's lumped thermal network — every die built from one MafSpec has
-  /// identical topology, the precondition of ThermalNetwork::step_batch.
-  [[nodiscard]] phys::ThermalNetwork& thermal_network() { return net_; }
-
   /// Relaxes the thermal state to steady state under constant powers/env
   /// (fouling state is left untouched). Used by the quasi-static solver.
   void settle(const Environment& env);

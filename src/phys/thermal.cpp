@@ -126,78 +126,6 @@ void ThermalNetwork::step(Seconds dt) {
   for (std::size_t i = 0; i < n; ++i) nodes_[i].temperature = new_temps_[i];
 }
 
-void ThermalNetwork::step_batch(std::span<ThermalNetwork* const> nets,
-                                Seconds dt) {
-  if (nets.empty()) return;
-  ThermalNetwork& ref = *nets[0];
-  ref.ensure_adjacency();
-  const std::size_t n = ref.nodes_.size();
-  for (ThermalNetwork* net_ptr : nets) {
-    ThermalNetwork& net = *net_ptr;
-    if (net.nodes_.size() != n || net.edges_.size() != ref.edges_.size())
-      throw std::invalid_argument(
-          "ThermalNetwork::step_batch: topology mismatch (size)");
-    for (std::size_t i = 0; i < n; ++i)
-      if (net.nodes_[i].boundary != ref.nodes_[i].boundary)
-        throw std::invalid_argument(
-            "ThermalNetwork::step_batch: topology mismatch (boundary)");
-    for (std::size_t e = 0; e < ref.edges_.size(); ++e)
-      if (net.edges_[e].a != ref.edges_[e].a ||
-          net.edges_[e].b != ref.edges_[e].b)
-        throw std::invalid_argument(
-            "ThermalNetwork::step_batch: topology mismatch (edges)");
-    if (net.decay_arg_.size() != n) {
-      net.decay_arg_.assign(n, std::numeric_limits<double>::quiet_NaN());
-      net.decay_val_.assign(n, 0.0);
-    }
-    net.new_temps_.resize(n);
-    // The batch walks ref's adjacency for every net (same netlist ⇒ same
-    // index, so sharing ref's is exact); each net still materialises its own
-    // so a later per-net step()/settle() finds it built.
-    if (net_ptr != nets[0]) net.ensure_adjacency();
-  }
-
-  // Node-major outer loop, nets inner: one neighbour-list walk per node feeds
-  // every net's update, and per net the expressions below are character-for-
-  // character those of step() — same accumulation order, same memoized exp,
-  // hence bit-identical results.
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool boundary = ref.nodes_[i].boundary;
-    const std::size_t begin = ref.adjacency_start_[i];
-    const std::size_t end = ref.adjacency_start_[i + 1];
-    for (ThermalNetwork* net_ptr : nets) {
-      ThermalNetwork& net = *net_ptr;
-      const Node& node = net.nodes_[i];
-      if (boundary) {
-        net.new_temps_[i] = node.temperature;
-        continue;
-      }
-      double sum_g = 0.0, sum_gt = 0.0;
-      for (std::size_t k = begin; k < end; ++k) {
-        const Incidence& inc = ref.adjacency_[k];
-        const double g = net.edges_[inc.edge].g;
-        sum_g += g;
-        sum_gt += g * net.nodes_[inc.other].temperature;
-      }
-      if (sum_g <= 0.0) {
-        net.new_temps_[i] =
-            node.temperature + node.power * dt.value() / node.capacitance;
-        continue;
-      }
-      const double t_inf = (sum_gt + node.power) / sum_g;
-      const double arg = -dt.value() * sum_g / node.capacitance;
-      if (arg != net.decay_arg_[i]) {
-        net.decay_arg_[i] = arg;
-        net.decay_val_[i] = std::exp(arg);
-      }
-      net.new_temps_[i] = t_inf + (node.temperature - t_inf) * net.decay_val_[i];
-    }
-  }
-  for (ThermalNetwork* net_ptr : nets)
-    for (std::size_t i = 0; i < n; ++i)
-      net_ptr->nodes_[i].temperature = net_ptr->new_temps_[i];
-}
-
 void ThermalNetwork::settle() {
   // Gauss-Seidel relaxation to the algebraic steady state; the networks used
   // here are tiny (≤ 8 nodes) and diagonally dominant, so this converges

@@ -13,7 +13,6 @@
 
 #include <cmath>
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "state/serial.hpp"
@@ -52,19 +51,6 @@ class ThermalNetwork {
   /// coefficient — recomputes it exactly. Same results either way; the cache
   /// only skips recomputing a value that is already known.
   void step(util::Seconds dt);
-
-  /// Advances several networks with identical topology by the same dt in one
-  /// node-major sweep: the CSR adjacency is built once (on nets[0]) and every
-  /// node's neighbour walk is shared across the batch, so a fleet of dies
-  /// stamped from the same netlist pays the index and loop overhead once
-  /// instead of per die. Per-net values (conductances, powers, temperatures,
-  /// decay memo) stay per-net, and each net's per-node expressions run in
-  /// exactly step()'s operand order — bit-identical to calling nets[k]->
-  /// step(dt) for each k. Throws std::invalid_argument if any network's
-  /// topology (node count, boundary pattern, edge endpoints) differs from
-  /// nets[0]'s.
-  static void step_batch(std::span<ThermalNetwork* const> nets,
-                         util::Seconds dt);
 
   /// Solves the steady state (all capacitive nodes relaxed) in place. Used by
   /// the quasi-static path of long-duration experiments.

@@ -35,7 +35,9 @@ inline constexpr std::array<std::uint8_t, 8> kMagic{'A', 'Q', 'U', 'A',
 /// new sections do NOT need a bump — readers ignore unknown section ids.
 /// Version 2: the fleet engine section no longer carries the retired shard
 /// planner's rebalance count and per-sensor cost estimates.
-inline constexpr std::uint32_t kFormatVersion = 2;
+/// Version 3: the fleet META section no longer carries the retired SIMD batch
+/// path's execution-mode byte and lane-width word.
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// Section ids are FourCCs so hexdumps of a checkpoint stay legible.
 constexpr std::uint32_t section_id(char a, char b, char c, char d) {

@@ -97,11 +97,9 @@ class Rng {
   }
 
   /// The generator's complete position: xoshiro state words plus the cached
-  /// Box-Muller spare. The cross-sensor SIMD layer (src/simd) gathers this
-  /// into structure-of-arrays lanes before a batch frame and scatters the
-  /// advanced position back afterwards; round-tripping through State is
-  /// exact, so scalar execution can resume a stream the batch path advanced
-  /// (and vice versa) without perturbing a single draw.
+  /// Box-Muller spare. Checkpoints serialise it (state/rng_io.hpp);
+  /// round-tripping through State is exact, so a restored stream resumes
+  /// without perturbing a single draw.
   struct State {
     std::array<std::uint64_t, 4> s{};
     double spare = 0.0;

@@ -23,6 +23,22 @@ InstrumentAmpSpec quiet_spec() {
   return s;
 }
 
+// Amplifies `in` through the amp's kernels the way a fused frame loop does:
+// noise and stage kernels captured once, white then flicker drawn per sample,
+// both committed back at the end of the block.
+void run_block(InstrumentAmp& amp, std::span<const double> in,
+               std::span<double> out, Seconds dt) {
+  auto noise = amp.begin_noise_block();
+  auto k = amp.begin_block(dt, util::celsius(25.0));
+  for (size_t i = 0; i < in.size(); ++i) {
+    const double white = noise.white.draw();
+    const double flicker = noise.flicker.draw();
+    out[i] = k.step(in[i], white, flicker);
+  }
+  amp.commit_noise_block(noise);
+  amp.commit_block(k);
+}
+
 TEST(InstrumentAmp, DcGainApplied) {
   InstrumentAmp amp{quiet_spec(), hertz(1e6), Rng{1}};
   double y = 0.0;
@@ -109,8 +125,8 @@ TEST(InstrumentAmp, ProcessBlockBitIdenticalToStep) {
   for (size_t i = 0; i < in.size(); ++i)
     expect[i] = scalar.step(volts(in[i]), dt);
   for (int f = 0; f < 3; ++f)
-    block.process_block(std::span<const double>{in}.subspan(128u * f, 128),
-                        std::span<double>{got}.subspan(128u * f, 128), dt);
+    run_block(block, std::span<const double>{in}.subspan(128u * f, 128),
+              std::span<double>{got}.subspan(128u * f, 128), dt);
   for (size_t i = 0; i < in.size(); ++i)
     EXPECT_EQ(expect[i], got[i]) << "sample " << i;
   EXPECT_EQ(scalar.saturated(), block.saturated());
@@ -123,7 +139,7 @@ TEST(InstrumentAmp, BlockKernelCarriesSaturationState) {
   std::vector<double> in(256, 1.0);  // 1 V · gain 16 slams the 1.65 V rail
   std::vector<double> out(in.size());
   for (double x : in) (void)scalar.step(volts(x), dt);
-  block.process_block(in, out, dt);
+  run_block(block, in, out, dt);
   EXPECT_TRUE(block.saturated());
   EXPECT_EQ(scalar.saturated(), block.saturated());
 }

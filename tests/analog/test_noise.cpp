@@ -68,19 +68,28 @@ TEST(FlickerNoise, Validation) {
                std::invalid_argument);
 }
 
+// Fills `out` through the source's BlockKernel the way a fused frame loop
+// draws: begin_block, one draw per sample, commit_block.
+template <typename Noise>
+void fill_block(Noise& noise, std::span<double> out) {
+  auto k = noise.begin_block();
+  for (double& x : out) x = k.draw();
+  noise.commit_block(k);
+}
+
 TEST(WhiteNoise, FillBitIdenticalToSampleSequence) {
   WhiteNoise scalar{50e-9, hertz(256e3), Rng{11}};
   WhiteNoise block{50e-9, hertz(256e3), Rng{11}};
   std::vector<double> expect(300), got(300);
   for (double& x : expect) x = scalar.sample();
   // Uneven chunks so block boundaries land mid-stream.
-  block.fill(std::span<double>{got}.subspan(0, 77));
-  block.fill(std::span<double>{got}.subspan(77, 128));
-  block.fill(std::span<double>{got}.subspan(205));
+  fill_block(block, std::span<double>{got}.subspan(0, 77));
+  fill_block(block, std::span<double>{got}.subspan(77, 128));
+  fill_block(block, std::span<double>{got}.subspan(205));
   for (size_t i = 0; i < expect.size(); ++i)
     EXPECT_EQ(expect[i], got[i]) << "draw " << i;
   // Streams stay aligned afterwards.
-  EXPECT_EQ(scalar.sample(), [&] { double x; block.fill({&x, 1}); return x; }());
+  EXPECT_EQ(scalar.sample(), block.sample());
 }
 
 TEST(FlickerNoise, FillBitIdenticalToSampleSequence) {
@@ -88,11 +97,12 @@ TEST(FlickerNoise, FillBitIdenticalToSampleSequence) {
   FlickerNoise block{1e-6, hertz(1.0), hertz(256e3), Rng{12}};
   std::vector<double> expect(300), got(300);
   for (double& x : expect) x = scalar.sample();
-  block.fill(std::span<double>{got}.subspan(0, 33));
-  block.fill(std::span<double>{got}.subspan(33, 128));
-  block.fill(std::span<double>{got}.subspan(161));
+  fill_block(block, std::span<double>{got}.subspan(0, 33));
+  fill_block(block, std::span<double>{got}.subspan(33, 128));
+  fill_block(block, std::span<double>{got}.subspan(161));
   for (size_t i = 0; i < expect.size(); ++i)
     EXPECT_EQ(expect[i], got[i]) << "draw " << i;
+  EXPECT_EQ(scalar.sample(), block.sample());
 }
 
 TEST(FlickerNoise, KernelSuffixCacheMatchesFullChain) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <span>
 #include <vector>
 
 namespace aqua::analog {
@@ -71,9 +70,13 @@ TEST(RcLowpass, ProcessBlockBitIdenticalToStep) {
     x[i] = std::sin(0.05 * static_cast<double>(i)) +
            0.3 * std::sin(0.7 * static_cast<double>(i));
   for (size_t i = 0; i < x.size(); ++i) expect[i] = scalar.step(x[i], dt);
-  std::vector<double> got = x;
-  for (int f = 0; f < 3; ++f)
-    block.process_block(std::span<double>{got}.subspan(128u * f, 128), dt);
+  // One kernel per 128-sample block, committed back between blocks.
+  std::vector<double> got(x.size());
+  for (size_t f = 0; f < 3; ++f) {
+    auto k = block.begin_block(dt);
+    for (size_t i = 128 * f; i < 128 * (f + 1); ++i) got[i] = k.step(x[i]);
+    block.commit_block(k);
+  }
   for (size_t i = 0; i < x.size(); ++i)
     EXPECT_EQ(expect[i], got[i]) << "sample " << i;
   EXPECT_EQ(scalar.value(), block.value());

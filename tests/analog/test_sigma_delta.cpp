@@ -107,6 +107,19 @@ TEST(SigmaDelta, IntegratorLeakDegradesDcAccuracySlightly) {
   EXPECT_NEAR(decoded, 0.4, 0.02);
 }
 
+// Modulates `in_volts` into ±1.0 `bits` through the modulator's kernels the
+// way a fused frame loop does; returns the block's any-overload latch.
+bool run_block(SigmaDeltaModulator& sd, std::span<const double> in_volts,
+               std::span<double> bits) {
+  auto dither = sd.begin_dither_block();
+  auto k = sd.begin_block();
+  for (size_t i = 0; i < in_volts.size(); ++i)
+    bits[i] = k.step(in_volts[i], dither.draw());
+  sd.commit_dither_block(dither);
+  sd.commit_block(k);
+  return k.any_overload;
+}
+
 TEST(SigmaDelta, ProcessBlockBitIdenticalToStep) {
   SigmaDeltaModulator scalar{{}, Rng{31}};
   SigmaDeltaModulator block{{}, Rng{31}};
@@ -115,7 +128,7 @@ TEST(SigmaDelta, ProcessBlockBitIdenticalToStep) {
     in[i] = 0.4 * std::sin(0.021 * static_cast<double>(i));
   for (int f = 0; f < 3; ++f) {
     const auto chunk = std::span<const double>{in}.subspan(128u * f, 128);
-    const bool any = block.process_block(chunk, bits);
+    const bool any = run_block(block, chunk, bits);
     bool scalar_any = false;
     for (size_t i = 0; i < chunk.size(); ++i) {
       const int b = scalar.step(volts(chunk[i]));
@@ -130,23 +143,25 @@ TEST(SigmaDelta, ProcessBlockBitIdenticalToStep) {
 
 TEST(SigmaDelta, BlockOverloadLatchVsLastSample) {
   // A block whose middle sample overloads but whose last sample is fine:
-  // process_block() returns true (the per-block latch), overloaded() reports
-  // the last sample — matching the scalar semantics exactly.
+  // the kernel's any_overload latches (the per-block flag), overloaded()
+  // reports the last sample — matching the scalar semantics exactly.
   SigmaDeltaModulator sd{{}, Rng{32}};
   std::vector<double> in(16, 0.1), bits(16);
   in[7] = 1.58;  // ≈ 0.99 FS
-  EXPECT_TRUE(sd.process_block(in, bits));
+  EXPECT_TRUE(run_block(sd, in, bits));
   EXPECT_FALSE(sd.overloaded());
 }
 
 TEST(SigmaDelta, FillDitherBitIdenticalToStepDraws) {
-  // fill_dither() must hand a fused loop exactly the dither values the scalar
-  // step() would draw, leaving the stream at the same position.
+  // The dither kernel must hand a fused loop exactly the dither values the
+  // scalar step() would draw, leaving the stream at the same position.
   SigmaDeltaSpec spec{};
   SigmaDeltaModulator a{spec, Rng{33}};
   SigmaDeltaModulator b{spec, Rng{33}};
   std::vector<double> dither(64);
-  b.fill_dither(dither);
+  auto dk = b.begin_dither_block();
+  for (double& x : dither) x = dk.draw();
+  b.commit_dither_block(dk);
   std::vector<double> bits(64);
   for (size_t i = 0; i < dither.size(); ++i) {
     auto k = b.begin_block();

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
 #include <vector>
 
 namespace aqua::dsp {
@@ -157,17 +156,17 @@ TEST(Cic, PushBlockBitIdenticalToPush) {
   std::vector<double> expect;
   for (double v : x)
     if (auto y = scalar.push(v)) expect.push_back(*y);
-  std::vector<double> got(expect.size() + 4);
-  size_t n = 0;
-  // Odd chunk sizes so block boundaries straddle decimation frames.
-  for (size_t at = 0; at < x.size();) {
-    const size_t len = std::min<size_t>(13, x.size() - at);
-    n += block.push_block(std::span<const double>{x}.subspan(at, len),
-                          std::span<double>{got}.subspan(n));
-    at += len;
+  std::vector<double> got;
+  // One kernel per 13-sample block, so block boundaries straddle decimation
+  // frames and the phase must carry across commit/begin.
+  for (size_t at = 0; at < x.size(); at += 13) {
+    auto k = block.begin_block();
+    for (size_t i = at; i < std::min(x.size(), at + 13); ++i)
+      if (k.push(x[i])) got.push_back(block.emit(k));
+    block.commit_block(k);
   }
-  ASSERT_EQ(n, expect.size());
-  for (size_t i = 0; i < n; ++i) {
+  ASSERT_EQ(got.size(), expect.size());
+  for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(expect[i], got[i]) << i;
   }
 }

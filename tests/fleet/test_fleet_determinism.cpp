@@ -225,5 +225,50 @@ TEST(FleetDeterminism, PerSensorStreamsDiffer) {
   EXPECT_TRUE(any_difference);
 }
 
+TEST(FleetDeterminism, BenchFleetScenarioReproducesTheCommittedChecksum) {
+  // bench_fleet's 32-sensor scenario, run serially: a reservoir feeding four
+  // radial chains of tapered pipes, one probe on the axis of each of the 32
+  // pipes. Its trace checksum is the one bench_fleet prints for every mode,
+  // so any change to the bits of the scalar chain — a reordered draw, a
+  // reassociated sum, an FMA contraction — fails here.
+  hydro::WaterNetwork net;
+  const auto res = net.add_reservoir(45.0);
+  const auto hub = net.add_junction(2.0, 0.002);
+  net.add_pipe(res, hub, util::metres(200.0), util::millimetres(250.0));
+  for (int chain = 0; chain < 4; ++chain) {
+    auto prev = hub;
+    for (int k = 0; k < 8 && net.pipe_count() < 32; ++k) {
+      const auto next = net.add_junction(1.5 - 0.1 * k, 0.002);
+      net.add_pipe(prev, next, util::metres(250.0),
+                   util::millimetres(150.0 - 14.0 * k));
+      prev = next;
+    }
+  }
+  std::vector<SensorPlacement> placements;
+  for (hydro::WaterNetwork::PipeId p = 0; p < net.pipe_count(); ++p)
+    placements.push_back(SensorPlacement{p, 0.0});
+
+  FleetConfig cfg;
+  cfg.sensor.isif = cta::coarse_isif_config();
+  cfg.sensor.cta.output_cutoff = util::hertz(2.0);
+  cfg.root_seed = 42;
+  cfg.epoch = Seconds{0.25};
+  cfg.demand_factor = diurnal_demand_pattern(Seconds{8.0});
+  FleetEngine engine(net, placements, cfg);
+  engine.set_shared_fit(cta::KingFit{0.9, 1.1, 0.5});
+  engine.commission(Seconds{0.25});
+  engine.run(Seconds{4.0});
+  ASSERT_EQ(engine.size(), 32u);
+
+  std::uint64_t checksum = 0;
+  for (std::size_t i = 0; i < engine.size(); ++i)
+    for (const TraceSample& s : engine.node(i).trace()) {
+      checksum ^= std::bit_cast<std::uint64_t>(s.bridge_voltage);
+      checksum ^= std::bit_cast<std::uint64_t>(s.estimate_mps) * 0x9E37u;
+      checksum ^= std::bit_cast<std::uint64_t>(s.true_mean_mps) * 0x85EBu;
+    }
+  EXPECT_EQ(checksum, 0x63ffe924fe51d05eull) << std::hex << checksum;
+}
+
 }  // namespace
 }  // namespace aqua::fleet

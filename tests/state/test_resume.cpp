@@ -2,10 +2,9 @@
 // kill a fleet run or a fault campaign at an arbitrary epoch boundary,
 // restore the newest checkpoint into freshly constructed objects, and the
 // resumed run is bit-identical to the uninterrupted one — same trace
-// checksum, same campaign summary — serially and on 8 threads, in scalar and
-// kSimdBatch execution. The batch scenario is pinned to the committed
-// checksum from tests/simd/test_fleet_batch.cpp, so resume correctness and
-// the historical determinism contract are one and the same assertion.
+// checksum, same campaign summary — serially and on 8 threads. The fleet
+// scenario is pinned to a committed checksum, so resume correctness and the
+// historical determinism contract are one and the same assertion.
 #include <bit>
 #include <cstdint>
 #include <filesystem>
@@ -27,14 +26,13 @@ namespace {
 
 namespace fs = std::filesystem;
 using util::Seconds;
-using fleet::ChannelExecution;
 using fleet::FleetConfig;
 using fleet::FleetEngine;
 using fleet::SensorPlacement;
 
-// The test_fleet_batch scenario: its committed checksum makes this suite's
+// The uninterrupted scenario's committed checksum: it makes this suite's
 // "resumed == uninterrupted" also mean "resumed == the historical contract".
-constexpr std::uint64_t kBatchChecksum = 0x8370b0dd7181b5c1ull;
+constexpr std::uint64_t kCommittedChecksum = 0x3a400c370779efffull;
 
 struct District {
   hydro::WaterNetwork net;
@@ -68,14 +66,13 @@ District make_district() {
   return d;
 }
 
-FleetConfig make_config(ChannelExecution execution) {
+FleetConfig make_config() {
   FleetConfig cfg;
   cfg.sensor.isif = cta::coarse_isif_config();
   cfg.sensor.cta.output_cutoff = util::hertz(2.0);
   cfg.root_seed = 20260808;
   cfg.epoch = Seconds{0.25};
   cfg.demand_factor = fleet::diurnal_demand_pattern(Seconds{4.0});
-  cfg.execution = execution;
   return cfg;
 }
 
@@ -90,9 +87,9 @@ std::uint64_t trace_checksum(const FleetEngine& engine) {
   return c;
 }
 
-std::uint64_t uninterrupted_checksum(ChannelExecution execution) {
+std::uint64_t uninterrupted_checksum() {
   District d = make_district();
-  FleetEngine engine(d.net, d.placements, make_config(execution));
+  FleetEngine engine(d.net, d.placements, make_config());
   engine.set_shared_fit(cta::KingFit{0.9, 1.1, 0.5});
   engine.commission(Seconds{0.2});
   engine.run(Seconds{0.75});
@@ -101,15 +98,14 @@ std::uint64_t uninterrupted_checksum(ChannelExecution execution) {
 
 /// Commissions an engine, steps `kill_after` of the 3 epochs, checkpoints,
 /// restores the image into a FRESH engine and finishes the run there.
-std::uint64_t resumed_checksum(ChannelExecution execution, int kill_after,
-                               int threads) {
+std::uint64_t resumed_checksum(int kill_after, int threads) {
   std::unique_ptr<util::ThreadPool> pool;
   if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
 
   std::vector<std::uint8_t> image;
   {
     District d = make_district();
-    FleetEngine engine(d.net, d.placements, make_config(execution));
+    FleetEngine engine(d.net, d.placements, make_config());
     engine.set_shared_fit(cta::KingFit{0.9, 1.1, 0.5});
     engine.commission(Seconds{0.2});
     for (int e = 0; e < kill_after; ++e) engine.step_epoch(pool.get());
@@ -117,37 +113,30 @@ std::uint64_t resumed_checksum(ChannelExecution execution, int kill_after,
     // The engine dies here; only `image` survives.
   }
   District d = make_district();
-  FleetEngine fresh(d.net, d.placements, make_config(execution));
+  FleetEngine fresh(d.net, d.placements, make_config());
   fresh.restore(image);
   fresh.run(Seconds{0.25 * (3 - kill_after)}, pool.get());
   return trace_checksum(fresh);
 }
 
 TEST(KillAndResume, ScalarFleetResumesBitIdentically) {
-  const std::uint64_t expected = uninterrupted_checksum(ChannelExecution::kScalar);
+  const std::uint64_t expected = uninterrupted_checksum();
   for (int kill_after : {1, 2})
     for (int threads : {0, 8})
-      EXPECT_EQ(resumed_checksum(ChannelExecution::kScalar, kill_after, threads),
-                expected)
+      EXPECT_EQ(resumed_checksum(kill_after, threads), expected)
           << "killed after epoch " << kill_after << ", " << threads
           << " resume threads";
 }
 
-TEST(KillAndResume, BatchFleetResumesToTheCommittedChecksum) {
-  ASSERT_EQ(uninterrupted_checksum(ChannelExecution::kSimdBatch), kBatchChecksum);
-  for (int kill_after : {1, 2})
-    for (int threads : {0, 8})
-      EXPECT_EQ(
-          resumed_checksum(ChannelExecution::kSimdBatch, kill_after, threads),
-          kBatchChecksum)
-          << "killed after epoch " << kill_after << ", " << threads
-          << " resume threads";
+TEST(KillAndResume, FleetResumesToTheCommittedChecksum) {
+  ASSERT_EQ(uninterrupted_checksum(), kCommittedChecksum);
+  EXPECT_EQ(resumed_checksum(2, 4), kCommittedChecksum);
 }
 
 TEST(KillAndResume, RestoreRejectsMismatchedConfiguration) {
   District d = make_district();
   FleetEngine engine(d.net, d.placements,
-                     make_config(ChannelExecution::kScalar));
+                     make_config());
   engine.set_shared_fit(cta::KingFit{0.9, 1.1, 0.5});
   engine.commission(Seconds{0.2});
   engine.step_epoch();
@@ -155,16 +144,10 @@ TEST(KillAndResume, RestoreRejectsMismatchedConfiguration) {
 
   {
     District d2 = make_district();
-    FleetConfig cfg = make_config(ChannelExecution::kScalar);
+    FleetConfig cfg = make_config();
     cfg.root_seed = 1;  // a different fleet entirely
     FleetEngine other(d2.net, d2.placements, cfg);
     EXPECT_THROW(other.restore(image), state::Error);
-  }
-  {
-    District d2 = make_district();
-    FleetEngine other(d2.net, d2.placements,
-                      make_config(ChannelExecution::kSimdBatch));
-    EXPECT_THROW(other.restore(image), state::Error);  // execution mode skew
   }
   {
     // Same config, different hydraulic topology.
@@ -174,7 +157,7 @@ TEST(KillAndResume, RestoreRejectsMismatchedConfiguration) {
     d2.net.add_pipe(res, n1, util::metres(300.0), util::millimetres(200.0));
     d2.placements.push_back(SensorPlacement{0, 0.0});
     FleetEngine other(d2.net, d2.placements,
-                      make_config(ChannelExecution::kScalar));
+                      make_config());
     EXPECT_THROW(other.restore(image), state::Error);
   }
 }
@@ -182,7 +165,7 @@ TEST(KillAndResume, RestoreRejectsMismatchedConfiguration) {
 TEST(KillAndResume, CorruptedEngineImageNeverRestoresSilently) {
   District d = make_district();
   FleetEngine engine(d.net, d.placements,
-                     make_config(ChannelExecution::kScalar));
+                     make_config());
   engine.set_shared_fit(cta::KingFit{0.9, 1.1, 0.5});
   engine.commission(Seconds{0.2});
   engine.step_epoch();
@@ -196,7 +179,7 @@ TEST(KillAndResume, CorruptedEngineImageNeverRestoresSilently) {
     image[byte] ^= 0x10;
     District d2 = make_district();
     FleetEngine fresh(d2.net, d2.placements,
-                      make_config(ChannelExecution::kScalar));
+                      make_config());
     try {
       fresh.restore(image);
       // CRC32 catches every single-bit flip in payloads and the container
@@ -217,13 +200,13 @@ TEST(KillAndResume, ManagerFallbackResumesAfterTornNewestCheckpoint) {
   const std::string dir =
       (fs::temp_directory_path() / "aqua_resume_manager_test").string();
   fs::remove_all(dir);
-  const std::uint64_t expected = uninterrupted_checksum(ChannelExecution::kScalar);
+  const std::uint64_t expected = uninterrupted_checksum();
 
   state::CheckpointManager manager{dir, "fleet", 3};
   {
     District d = make_district();
     FleetEngine engine(d.net, d.placements,
-                       make_config(ChannelExecution::kScalar));
+                       make_config());
     engine.set_shared_fit(cta::KingFit{0.9, 1.1, 0.5});
     engine.commission(Seconds{0.2});
     for (int e = 0; e < 2; ++e) {
@@ -243,7 +226,7 @@ TEST(KillAndResume, ManagerFallbackResumesAfterTornNewestCheckpoint) {
   EXPECT_EQ(loaded->epoch, 1u);
 
   District d = make_district();
-  FleetEngine fresh(d.net, d.placements, make_config(ChannelExecution::kScalar));
+  FleetEngine fresh(d.net, d.placements, make_config());
   fresh.restore(loaded->image);
   fresh.run(Seconds{0.5});
   EXPECT_EQ(trace_checksum(fresh), expected);

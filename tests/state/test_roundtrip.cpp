@@ -248,7 +248,7 @@ TEST(CheckpointRoundTrip, FlightRecorderRoundTripsIncludingDrops) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden fixture: a committed version-2 image of a mid-run SensorNode. If the
+// Golden fixture: a committed version-3 image of a mid-run SensorNode. If the
 // wire format drifts without a kFormatVersion bump, this is the test that
 // fails. Regenerate (after a DELIBERATE, version-bumped change) with
 //   AQUA_REGEN_GOLDEN=1 ./test_state --gtest_filter='*Golden*'
@@ -261,7 +261,7 @@ TEST(CheckpointRoundTrip, FlightRecorderRoundTripsIncludingDrops) {
 constexpr std::uint32_t kGoldenSection = state::section_id('N', 'O', 'D', 'E');
 
 std::string golden_path() {
-  return std::string(AQUA_GOLDEN_DIR) + "/sensor-node-v2.aqcp";
+  return std::string(AQUA_GOLDEN_DIR) + "/sensor-node-v3.aqcp";
 }
 
 std::vector<std::uint8_t> make_golden_image() {
