@@ -18,6 +18,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "analog/amplifier.hpp"
 #include "common.hpp"
 #include "fleet/fleet.hpp"
@@ -122,6 +124,7 @@ struct ScalingReport {
   double xl_serial_wall_s = 0.0;
   double xl_wall_s = 0.0;
   std::uint64_t xl_checksum = 0;
+  double xl_peak_rss_mb = 0.0;  // the process's peak RSS after the run
 };
 
 std::size_t env_sensors(const char* name, std::size_t fallback) {
@@ -237,10 +240,15 @@ ScalingReport run_scaling_sweep(unsigned hw) {
     rep.xl_wall_s = xl.wall_s;
     rep.xl_checksum = xl.checksum;
     rep.deterministic = rep.deterministic && xl.checksum == xl_serial.checksum;
-    std::printf("%.1f s serial, %.1f s pooled (%.2fx), checksum %016llx%s\n",
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);  // ru_maxrss is in KiB on Linux
+    rep.xl_peak_rss_mb = static_cast<double>(usage.ru_maxrss) / 1024.0;
+    std::printf("%.1f s serial, %.1f s pooled (%.2fx), checksum %016llx%s, "
+                "peak RSS %.0f MB\n",
                 xl_serial.wall_s, xl.wall_s, xl_serial.wall_s / xl.wall_s,
                 static_cast<unsigned long long>(xl.checksum),
-                xl.checksum == xl_serial.checksum ? "" : "  << MISMATCH");
+                xl.checksum == xl_serial.checksum ? "" : "  << MISMATCH",
+                rep.xl_peak_rss_mb);
   }
   return rep;
 }
@@ -497,11 +505,13 @@ void write_json_report(const std::vector<std::pair<std::string, RunResult>>& mod
                     "    \"completion_run\": {\"sensors\": %zu, "
                     "\"epochs\": %lld, \"threads\": %u, "
                     "\"serial_wall_s\": %.3f, \"wall_s\": %.3f, "
-                    "\"speedup\": %.3f, \"checksum\": \"%016llx\"}\n",
+                    "\"speedup\": %.3f, \"checksum\": \"%016llx\", "
+                    "\"peak_rss_mb\": %.1f}\n",
                     scaling.xl_sensors, scaling.xl_epochs, scaling.xl_threads,
                     scaling.xl_serial_wall_s, scaling.xl_wall_s,
                     scaling.xl_serial_wall_s / scaling.xl_wall_s,
-                    static_cast<unsigned long long>(scaling.xl_checksum));
+                    static_cast<unsigned long long>(scaling.xl_checksum),
+                    scaling.xl_peak_rss_mb);
       out += buf;
     } else {
       out += "    \"completion_run\": null\n";

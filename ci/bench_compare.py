@@ -35,7 +35,8 @@ come in two characters:
   skipped with a ::warning rather than passed on a ratio of ~1.0 that could
   never fail. scaling.deterministic must be true on every runner — a
   checksum mismatch at 1k or 10k sensors is a broken determinism contract.
-  The 10k completion run's serial-vs-pool speedup is printed, not gated.
+  The 10k completion run's serial-vs-pool speedup and the process's peak
+  RSS after it are printed, not gated.
 
 Other stage rates are reported but only warn: they feed the artifact for
 trend-watching, not the gate.
@@ -131,7 +132,8 @@ def check_scaling(path):
         print(f"completion run: {xl.get('sensors')} sensors, "
               f"{xl.get('serial_wall_s', 0.0):.1f} s serial vs "
               f"{xl.get('wall_s', 0.0):.1f} s on pool({xl.get('threads')}) "
-              f"= {xl.get('speedup', 0.0):.2f}x (reported, not gated)")
+              f"= {xl.get('speedup', 0.0):.2f}x, peak RSS "
+              f"{xl.get('peak_rss_mb', 0.0):.0f} MB (reported, not gated)")
     if "fleet_scaling_efficiency" not in scaling:
         print(f"::error::{path} has no scaling.fleet_scaling_efficiency — "
               "stale bench binary or renamed key?")

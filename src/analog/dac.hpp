@@ -6,7 +6,10 @@
 // elements. A first-order settling lag models the output buffer.
 #pragma once
 
-#include <vector>
+#include <atomic>
+#include <cstddef>
+#include <memory>
+#include <mutex>
 
 #include "sim/integrator.hpp"
 #include "state/serial.hpp"
@@ -22,6 +25,11 @@ struct ThermometerDacSpec {
   util::Seconds settling_tau = util::Seconds{2e-6};
 };
 
+/// The element-mismatch draw is lazy: the DAC keeps its stream and draws the
+/// prefix sums on the first read of the transfer (static_output, step,
+/// inl_lsb), from the same stream in the same order as a draw at
+/// construction, so every output is bit-identical. A DAC that is never read
+/// never draws or stores its table. The first read is thread-safe.
 class ThermometerDac {
  public:
   ThermometerDac(const ThermometerDacSpec& spec, util::Rng rng);
@@ -36,7 +44,8 @@ class ThermometerDac {
   util::Volts step(util::Seconds dt);
 
   /// Returns to the post-construction state: code 0, buffer discharged. The
-  /// element-mismatch draw is a part property and survives reset.
+  /// element-mismatch draw is a part property and survives reset (drawn or
+  /// not, the table a later read sees is the same).
   void reset();
 
   [[nodiscard]] int code() const { return code_; }
@@ -59,10 +68,30 @@ class ThermometerDac {
   }
 
  private:
+  /// Unmaps the page-backed table.
+  struct PageRelease {
+    std::size_t bytes;
+    void operator()(double* table) const noexcept;
+  };
+
+  /// The 2^bits + 1 prefix sums of the unit-element weights, drawn on first
+  /// call.
+  const double* cumulative() const;
+  [[nodiscard]] std::size_t element_count() const {
+    return std::size_t{1} << spec_.bits;
+  }
+
   ThermometerDacSpec spec_;
-  std::vector<double> element_weights_;  // unit element values, nominal 1.0
-  std::vector<double> cumulative_;       // prefix sums of weights
-  double total_weight_;
+  util::Rng rng_;  // the mismatch stream; the draw reads a copy
+  mutable std::once_flag draw_once_;
+  // Set (release) once the table is drawn: the per-tick read path is one
+  // acquire load instead of a std::call_once round trip.
+  mutable std::atomic<bool> drawn_{false};
+  // Mapped straight from the kernel, not malloc'd: the first read usually
+  // runs on a pool worker, and glibc keeps a worker's freed memory in that
+  // thread's arena, so malloc'd tables made a fleet's peak RSS depend on
+  // which worker drew which sensor's table.
+  mutable std::unique_ptr<double[], PageRelease> cumulative_;
   int code_ = 0;
   sim::FirstOrderLag buffer_;
 };

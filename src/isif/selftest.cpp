@@ -2,11 +2,11 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 namespace aqua::isif {
 
 using util::Hertz;
-using util::Volts;
 
 ChannelSelfTestResult run_channel_self_test(InputChannel& channel,
                                             const ChannelSelfTest& config) {
@@ -27,21 +27,20 @@ ChannelSelfTestResult run_channel_self_test(InputChannel& channel,
   dsp::Goertzel detector{config.tone, Hertz{out_rate}, block};
 
   channel.reset();
+  // The stimulus runs one decimation frame at a time through the fused block
+  // path, which is bit-identical to per-tick tick() calls (DESIGN.md §9); a
+  // frame ends exactly on the tick that emits its decimated sample.
+  std::vector<double> frame(
+      static_cast<std::size_t>(channel.config().decimation));
+  const auto next_sample = [&] {
+    for (double& v : frame) v = stimulus.next();
+    return channel.process_frame(frame);
+  };
   // Let the pipeline fill before integrating (one extra period).
-  const long long warmup_ticks =
-      channel.config().decimation * static_cast<long long>(samples_per_period);
-  for (long long i = 0; i < warmup_ticks; ++i)
-    (void)channel.tick(Volts{stimulus.next()});
-
-  bool complete = false;
-  double measured = 0.0;
-  while (!complete) {
-    const auto sample = channel.tick(Volts{stimulus.next()});
-    if (sample && detector.push(sample->value)) {
-      measured = detector.amplitude();
-      complete = true;
-    }
+  for (std::size_t i = 0; i < samples_per_period; ++i) (void)next_sample();
+  while (!detector.push(next_sample().value)) {
   }
+  const double measured = detector.amplitude();
   channel.reset();
 
   const double gain = measured / config.amplitude.value();

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <thread>
+#include <vector>
 
 namespace aqua::analog {
 namespace {
@@ -91,6 +96,100 @@ TEST(ThermometerDac, TenBitVariant) {
   EXPECT_EQ(dac.max_code(), 1023);
   dac.write_code(512);
   EXPECT_NEAR(dac.static_output().value(), 4.0 * 512.0 / 1023.0, 1e-12);
+}
+
+// The element-mismatch table as a construction-time draw builds it: one
+// Gaussian per unit element from the part's stream, summed in element order.
+std::vector<double> reference_prefix_sums(const ThermometerDacSpec& spec,
+                                          Rng rng) {
+  std::vector<double> sums{0.0};
+  double c = 0.0;
+  for (int i = 0; i < (1 << spec.bits); ++i) {
+    c += 1.0 + rng.gaussian(0.0, spec.element_mismatch_sigma);
+    sums.push_back(c);
+  }
+  return sums;
+}
+
+double reference_inl_lsb(const ThermometerDacSpec& spec,
+                         const std::vector<double>& sums, int code) {
+  const double fs = spec.full_scale.value();
+  const auto max_code = static_cast<double>(sums.size() - 2);
+  const double actual = fs * sums[static_cast<std::size_t>(code)] /
+                        sums.back() * static_cast<double>(sums.size() - 1) /
+                        max_code;
+  const double ideal = fs * static_cast<double>(code) / max_code;
+  return (actual - ideal) / (fs / max_code);
+}
+
+ThermometerDacSpec isif_spec(int bits) {
+  return ThermometerDacSpec{bits, volts(8.0), 2e-4, Seconds{2e-6}};
+}
+
+std::vector<std::uint64_t> inl_bits(const ThermometerDac& dac) {
+  std::vector<std::uint64_t> bits;
+  for (int code = 0; code <= dac.max_code(); ++code)
+    bits.push_back(std::bit_cast<std::uint64_t>(dac.inl_lsb(code)));
+  return bits;
+}
+
+TEST(ThermometerDac, LazyTableMatchesAConstructionTimeDraw) {
+  // The first read draws the table from the DAC's own stream, so it must
+  // reproduce, bit for bit, the table drawn from a copy of that stream.
+  for (const int bits : {12, 10}) {
+    for (const std::uint64_t seed : {11ull, 2008ull}) {
+      const ThermometerDacSpec spec = isif_spec(bits);
+      const Rng rng{seed};
+      const ThermometerDac dac{spec, rng};
+      const std::vector<double> sums = reference_prefix_sums(spec, rng);
+      for (int code = 0; code <= dac.max_code(); ++code)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(dac.inl_lsb(code)),
+                  std::bit_cast<std::uint64_t>(
+                      reference_inl_lsb(spec, sums, code)))
+            << bits << "-bit, seed " << seed << ", code " << code;
+    }
+  }
+}
+
+TEST(ThermometerDac, TableSurvivesReset) {
+  // Element mismatch is a part property: a reset neither redraws a drawn
+  // table nor changes the one a not-yet-drawn DAC will draw.
+  const ThermometerDacSpec spec = isif_spec(12);
+  ThermometerDac drawn{spec, Rng{31}};
+  drawn.write_code(1234);
+  const std::vector<std::uint64_t> before = inl_bits(drawn);
+  const double out = drawn.static_output().value();
+  drawn.reset();
+  EXPECT_EQ(inl_bits(drawn), before);
+  drawn.write_code(1234);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(drawn.static_output().value()),
+            std::bit_cast<std::uint64_t>(out));
+
+  ThermometerDac fresh{spec, Rng{31}};
+  fresh.reset();
+  EXPECT_EQ(inl_bits(fresh), before);
+}
+
+TEST(ThermometerDac, ConcurrentFirstReadsDrawOnce) {
+  // Two threads make the first read of a fresh DAC at the same time: both
+  // see the one table a single-threaded read sees (TSan runs this too).
+  const ThermometerDacSpec spec = isif_spec(12);
+  const std::vector<std::uint64_t> expected =
+      inl_bits(ThermometerDac{spec, Rng{47}});
+  const ThermometerDac dac{spec, Rng{47}};
+  std::atomic<int> ready{0};
+  std::vector<std::uint64_t> seen[2];
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t)
+    readers.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < 2) {
+      }
+      seen[t] = inl_bits(dac);
+    });
+  for (auto& r : readers) r.join();
+  EXPECT_EQ(seen[0], expected);
+  EXPECT_EQ(seen[1], expected);
 }
 
 TEST(ThermometerDac, Validation) {

@@ -2,7 +2,8 @@
 // The block-execution contract (DESIGN.md §9) promises that once the per-node
 // scratch is sized, tick_frame()/process_frame() run allocation-free; this TU
 // replaces the global operator new/delete with counting forwarders and asserts
-// a zero delta across settled frames. The override is process-wide, but it
+// a zero delta across settled frames. A byte total bounds the heap a fleet
+// sensor takes at construction. The override is process-wide, but it
 // only counts — behaviour of every other test in this binary is unchanged.
 #include <atomic>
 #include <cstdlib>
@@ -13,6 +14,7 @@
 
 #include "core/cta.hpp"
 #include "core/rig.hpp"
+#include "fleet/sensor_node.hpp"
 #include "isif/channel.hpp"
 #include "util/rng.hpp"
 
@@ -27,10 +29,18 @@
 
 namespace {
 std::atomic<long> g_allocations{0};
+std::atomic<long> g_allocated_bytes{0};
+
+// The deletes free through this out-of-line call. Inlined, their free()
+// meets the pointer of an operator new call GCC chose not to inline, and
+// -Wmismatched-new-delete flags the pair.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(static_cast<long>(size),
+                              std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc{};
 }
@@ -39,6 +49,8 @@ void* operator new[](std::size_t size) { return ::operator new(size); }
 
 void* operator new(std::size_t size, std::align_val_t align) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(static_cast<long>(size),
+                              std::memory_order_relaxed);
   const std::size_t a = static_cast<std::size_t>(align);
   const std::size_t n = ((size ? size : 1) + a - 1) / a * a;  // aligned_alloc
   if (void* p = std::aligned_alloc(a, n)) return p;            // needs n % a == 0
@@ -49,17 +61,17 @@ void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
 
 namespace aqua::cta {
@@ -102,6 +114,23 @@ TEST(BlockAllocation, AnemometerTickFrameIsAllocationFree) {
   const long before = g_allocations.load(std::memory_order_relaxed);
   for (int f = 0; f < 20; ++f) anemo.tick_frame(env);
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0);
+#endif
+}
+
+TEST(BlockAllocation, SensorNodeConstructionDrawsNoDacTable) {
+#ifdef AQUA_SANITIZED
+  GTEST_SKIP() << "sanitizer runtimes allocate behind the allocator hooks";
+#else
+  // The six DAC mismatch tables are drawn on first use, so building a fleet
+  // sensor takes less heap than even one 12-bit table's 4097 prefix sums.
+  constexpr long kTwelveBitTableBytes = 4097 * sizeof(double);
+  fleet::SensorNodeConfig cfg;
+  cfg.isif = coarse_isif_config();
+  const long before = g_allocated_bytes.load(std::memory_order_relaxed);
+  const fleet::SensorNode node{0, fleet::SensorPlacement{}, cfg,
+                               util::Metres{0.1}, Rng::stream(42, 0)};
+  const long bytes = g_allocated_bytes.load(std::memory_order_relaxed) - before;
+  EXPECT_LT(bytes, kTwelveBitTableBytes);
 #endif
 }
 

@@ -30,6 +30,9 @@ TEST(ThreadPool, CompletesAllTasksUnderContention) {
       count.fetch_add(1, std::memory_order_relaxed);
     }));
   for (auto& f : futures) f.get();
+  // A worker readies a task's future before it retires the task, so a ready
+  // future does not yet mean in_flight() has dropped: wait for idle first.
+  pool.wait_idle();
   EXPECT_EQ(count.load(), 1000);
   EXPECT_EQ(pool.in_flight(), 0u);
 }
