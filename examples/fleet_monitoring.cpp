@@ -132,8 +132,8 @@ int main() {
   // --- a sensor dies in the field: degraded-mode localization ---------------
   // Water hammer ruptures the membrane of the sensor on the n6–n7 balancing
   // pipe. The supervisor quarantines it on the next poll, and the masked
-  // estimate API pins its entry to zero instead of silently replaying the
-  // last pre-fault sample — the stale-data hazard latest_estimates() had.
+  // estimate API marks its entry invalid and pins it to zero, so the
+  // localizer never reads the dead sensor's last pre-fault sample as live.
   const std::size_t casualty = 9;  // sensor on the n6–n7 pipe
   std::printf("\n*** sensor %zu membrane ruptures (water hammer) ***\n",
               casualty);

@@ -272,8 +272,7 @@ CampaignRunner::CampaignRunner(fleet::FleetEngine& engine,
     prev_recoveries_[i] = supervisor.supervision(i).recoveries;
   }
 
-  total_epochs_ = static_cast<long long>(
-      std::ceil(duration.value() / engine.config().epoch.value()));
+  total_epochs_ = engine.epochs_for(duration);
 }
 
 void CampaignRunner::step(util::ThreadPool* pool) {
@@ -439,9 +438,7 @@ CampaignSummary run_campaign(fleet::FleetEngine& engine,
                              util::ThreadPool* pool) {
   CampaignRunner runner{engine, supervisor, campaign, duration};
   // Injection, supervision and outcome scans all run serially between epochs
-  // (the determinism contract), so the whole loop can ride one persistent
-  // worker team instead of enqueueing claiming tasks every epoch.
-  const fleet::FleetEngine::TeamSession team{engine, pool};
+  // (the determinism contract); only step_epoch fans out across `pool`.
   while (!runner.done()) runner.step(pool);
   return runner.finish();
 }

@@ -33,7 +33,7 @@ const obs::Histogram kSensorStepWall{"fleet.sensor_step_wall_seconds",
 // Scheduling telemetry, measured on every pooled epoch: the busiest worker's
 // busy time over the mean busy time (1.0 = all worked equally long; N = one
 // of N workers did everything), and the share of the fan-out's
-// worker-seconds spent busy rather than waiting at the barrier.
+// worker-seconds spent busy rather than waiting for the epoch to end.
 const obs::Histogram kWorkerImbalance{"fleet.worker_imbalance",
                                       obs::HistogramSpec{1.0, 64.0, 24, true}};
 const obs::Histogram kWorkerUtilization{
@@ -96,19 +96,6 @@ sim::Schedule diurnal_demand_pattern(Seconds day) {
   return pattern;
 }
 
-void FleetEngine::HotState::resize(std::size_t n) {
-  mean_velocity_mps.assign(n, 0.0);
-  point_velocity_mps.assign(n, 0.0);
-  pressure_pa.assign(n, 0.0);
-  temperature_k.assign(n, 0.0);
-  t_s.assign(n, 0.0);
-  bridge_voltage.assign(n, 0.0);
-  filtered_voltage.assign(n, 0.0);
-  estimate_mps.assign(n, 0.0);
-  direction.assign(n, 0);
-  has_sample.assign(n, 0);
-}
-
 FleetEngine::FleetEngine(hydro::WaterNetwork& network,
                          std::span<const SensorPlacement> placements,
                          const FleetConfig& config)
@@ -124,14 +111,11 @@ FleetEngine::FleetEngine(hydro::WaterNetwork& network,
         util::Rng::stream(config_.root_seed, i)));
   }
   estimate_valid_.assign(nodes_.size(), 1);
-  hot_.resize(nodes_.size());
 
   apply_demand_factor(config_.demand_factor.at(Seconds{0.0}));
   if (!net_.solve(config_.water_temperature))
     throw std::runtime_error("FleetEngine: initial network solve failed");
 }
-
-FleetEngine::~FleetEngine() { end_team(); }
 
 void FleetEngine::apply_demand_factor(double factor) {
   for (hydro::WaterNetwork::NodeId n = 0; n < net_.node_count(); ++n)
@@ -171,14 +155,12 @@ void FleetEngine::dispatch(util::ThreadPool* pool,
 
 void FleetEngine::commission(Seconds settle, util::ThreadPool* pool) {
   AQUA_TRACE_SPAN_SIM("fleet.commission", t_.value());
-  std::vector<PipeState> states;
-  states.reserve(nodes_.size());
-  for (const auto& node : nodes_) states.push_back(pipe_state_for(*node));
   dispatch(pool, [&](std::size_t i) {
+    SensorNode& node = *nodes_[i];
     // Power-up built-in self-test first (paper §3's test bus); the test
     // restores the channel bit-exactly, so the settle below is unaffected.
-    (void)nodes_[i]->run_self_test();
-    nodes_[i]->commission(states[i], settle);
+    (void)node.run_self_test();
+    node.commission(pipe_state_for(node), settle);
   });
 }
 
@@ -194,11 +176,9 @@ isif::ChannelSelfTestResult FleetEngine::recommission(std::size_t i,
 void FleetEngine::calibrate(std::span<const double> mean_speeds, Seconds dwell,
                             util::ThreadPool* pool) {
   AQUA_TRACE_SPAN_SIM("fleet.calibrate", t_.value());
-  std::vector<PipeState> states;
-  states.reserve(nodes_.size());
-  for (const auto& node : nodes_) states.push_back(pipe_state_for(*node));
   dispatch(pool, [&](std::size_t i) {
-    nodes_[i]->calibrate(states[i], mean_speeds, dwell);
+    SensorNode& node = *nodes_[i];
+    node.calibrate(pipe_state_for(node), mean_speeds, dwell);
   });
 }
 
@@ -206,53 +186,17 @@ void FleetEngine::set_shared_fit(const cta::KingFit& fit) {
   for (auto& node : nodes_) node->set_fit(fit, config_.water_temperature);
 }
 
-void FleetEngine::begin_team(util::ThreadPool* pool) {
-  if (pool == nullptr) return;
-  if (team_ != nullptr && team_pool_ == pool) return;
-  end_team();
-  team_ = std::make_unique<util::WorkerTeam>(
-      *pool, pool->thread_count(), [this](std::size_t w) { claim_chunks(w); });
-  team_pool_ = pool;
-}
-
-void FleetEngine::end_team() {
-  team_.reset();  // ~WorkerTeam releases and joins the parked tasks
-  team_pool_ = nullptr;
-}
-
 void FleetEngine::run(Seconds duration, util::ThreadPool* pool) {
-  const long long epochs = static_cast<long long>(
-      std::ceil(duration.value() / config_.epoch.value()));
-  // Persistent-team fast path: park one epoch task per worker for the whole
-  // run. If the caller already scoped a TeamSession, reuse it.
-  const bool own_team = pool != nullptr && team_ == nullptr;
-  struct TeamGuard {
-    FleetEngine* engine;
-    ~TeamGuard() {
-      if (engine != nullptr) engine->end_team();
-    }
-  } guard{own_team ? this : nullptr};
-  if (own_team) begin_team(pool);
+  const long long epochs = epochs_for(duration);
   for (long long e = 0; e < epochs; ++e) step_epoch(pool);
 }
 
-void FleetEngine::snapshot_epoch_inputs() {
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const PipeState state = pipe_state_for(*nodes_[i]);
-    hot_.mean_velocity_mps[i] = state.mean_velocity_mps;
-    hot_.point_velocity_mps[i] = state.point_velocity_mps;
-    hot_.pressure_pa[i] = state.pressure.value();
-    hot_.temperature_k[i] = state.temperature.value();
-  }
-}
-
-PipeState FleetEngine::snapshot_state(std::size_t i) const {
-  PipeState state;
-  state.mean_velocity_mps = hot_.mean_velocity_mps[i];
-  state.point_velocity_mps = hot_.point_velocity_mps[i];
-  state.pressure = util::Pascals{hot_.pressure_pa[i]};
-  state.temperature = util::Kelvin{hot_.temperature_k[i]};
-  return state;
+long long FleetEngine::epochs_for(Seconds duration) const {
+  const double epochs = duration.value() / config_.epoch.value();
+  const double nearest = std::round(epochs);
+  if (std::abs(epochs - nearest) <= 1e-9 * nearest)
+    return static_cast<long long>(nearest);
+  return static_cast<long long>(std::ceil(epochs));
 }
 
 void FleetEngine::advance_sensor(std::size_t i) {
@@ -260,28 +204,23 @@ void FleetEngine::advance_sensor(std::size_t i) {
                                     static_cast<double>(i)};
   const auto t0 = Clock::now();
 
-  nodes_[i]->advance(snapshot_state(i), config_.epoch);
-  // Publish the sample fields into the SoA mirror (disjoint slot — safe from
-  // any worker) so cold readers never chase the node pointer.
-  const TraceSample& s = nodes_[i]->trace().back();
-  hot_.t_s[i] = s.t_s;
-  hot_.bridge_voltage[i] = s.bridge_voltage;
-  hot_.filtered_voltage[i] = s.filtered_voltage;
-  hot_.estimate_mps[i] = s.estimate_mps;
-  hot_.direction[i] = static_cast<std::int8_t>(s.direction);
-  hot_.has_sample[i] = 1;
+  SensorNode& node = *nodes_[i];
+  node.advance(pipe_state_for(node), config_.epoch);
   kSensorSteps.add(1);
 
   kSensorStepWall.observe(seconds_since(t0));
 }
 
 void FleetEngine::claim_chunks(std::size_t worker) {
+  // The span name is the one the benchmark's layer split reads as worker
+  // busy time (benchmark/README.md).
+  AQUA_TRACE_SPAN("team.epoch");
   const auto t0 = Clock::now();
   const std::size_t n = nodes_.size();
   const std::size_t chunk = chunk_sensors_;
   // Relaxed is enough: the cursor only has to hand each chunk out once. The
-  // epoch's inputs and outputs are published by the release/join around
-  // this loop (team barrier, task futures), not by the cursor.
+  // epoch's inputs and outputs are published by the task submission and
+  // the futures around this loop, not by the cursor.
   for (;;) {
     const std::size_t begin =
         next_chunk_.fetch_add(1, std::memory_order_relaxed) * chunk;
@@ -305,25 +244,19 @@ void FleetEngine::step_epoch(util::ThreadPool* pool) {
       AQUA_TRACE_INSTANT_SIM("fleet.solve_failure", t_.value());
     }
   }
-  // Snapshot serially so every sensor task reads a frozen network state.
-  snapshot_epoch_inputs();
-
-  // Every path runs the same claim loop: on each team worker (barrier out,
-  // barrier in — zero enqueues), on one pool task per worker, or serially on
-  // the caller, which then claims every chunk in order.
+  // The fan-out only reads the network, so every sensor task derives its
+  // pipe state from this epoch's solution. The claim loop runs as one pool
+  // task per worker, or serially on the caller, which then claims every
+  // chunk in order.
   const std::size_t workers = pool != nullptr ? pool->thread_count() : 1;
   worker_busy_s_.assign(workers, 0.0);
   chunk_sensors_ = chunk_size_for(nodes_.size(), workers);
   next_chunk_.store(0, std::memory_order_relaxed);
   const auto t_fanout = Clock::now();
-  if (team_ != nullptr && pool == team_pool_) {
-    team_->run_epoch();
-  } else if (pool != nullptr) {
-    pool->parallel_for(workers, [this](std::size_t w) { claim_chunks(w); });
-  } else {
+  if (pool == nullptr) {
     claim_chunks(0);
-  }
-  if (pool != nullptr) {
+  } else {
+    pool->parallel_for(workers, [this](std::size_t w) { claim_chunks(w); });
     const double fanout_s = seconds_since(t_fanout);
     const double busy_s =
         std::accumulate(worker_busy_s_.begin(), worker_busy_s_.end(), 0.0);
@@ -384,19 +317,6 @@ void FleetEngine::write_checkpoint(state::CheckpointWriter& ck) const {
     w.i64(solve_failures_);
     w.size(estimate_valid_.size());
     for (const std::uint8_t v : estimate_valid_) w.u8(v);
-    state::save_f64_vector(w, hot_.mean_velocity_mps);
-    state::save_f64_vector(w, hot_.point_velocity_mps);
-    state::save_f64_vector(w, hot_.pressure_pa);
-    state::save_f64_vector(w, hot_.temperature_k);
-    state::save_f64_vector(w, hot_.t_s);
-    state::save_f64_vector(w, hot_.bridge_voltage);
-    state::save_f64_vector(w, hot_.filtered_voltage);
-    state::save_f64_vector(w, hot_.estimate_mps);
-    w.size(hot_.direction.size());
-    for (const std::int8_t d : hot_.direction)
-      w.u8(static_cast<std::uint8_t>(d));
-    w.size(hot_.has_sample.size());
-    for (const std::uint8_t h : hot_.has_sample) w.u8(h);
     ck.end_section();
   }
   {
@@ -449,26 +369,6 @@ void FleetEngine::read_checkpoint(const state::CheckpointReader& ck) {
     if (r.size(1) != estimate_valid_.size())
       throw state::Error("FleetEngine: estimate mask size mismatch");
     for (std::uint8_t& v : estimate_valid_) v = r.u8();
-    const auto load_sized = [&](std::vector<double>& v, const char* what) {
-      if (r.size(8) != v.size())
-        throw state::Error(std::string("FleetEngine: hot array size mismatch: ") +
-                           what);
-      for (double& x : v) x = r.f64();
-    };
-    load_sized(hot_.mean_velocity_mps, "mean_velocity");
-    load_sized(hot_.point_velocity_mps, "point_velocity");
-    load_sized(hot_.pressure_pa, "pressure");
-    load_sized(hot_.temperature_k, "temperature");
-    load_sized(hot_.t_s, "t_s");
-    load_sized(hot_.bridge_voltage, "bridge_voltage");
-    load_sized(hot_.filtered_voltage, "filtered_voltage");
-    load_sized(hot_.estimate_mps, "estimate");
-    if (r.size(1) != hot_.direction.size())
-      throw state::Error("FleetEngine: hot array size mismatch: direction");
-    for (std::int8_t& d : hot_.direction) d = static_cast<std::int8_t>(r.u8());
-    if (r.size(1) != hot_.has_sample.size())
-      throw state::Error("FleetEngine: hot array size mismatch: has_sample");
-    for (std::uint8_t& h : hot_.has_sample) h = r.u8();
     r.expect_end();
   }
   {
@@ -489,14 +389,6 @@ FleetReport FleetEngine::report() const {
   return build_report(net_, nodes_, t_.value());
 }
 
-std::vector<double> FleetEngine::latest_estimates() const {
-  std::vector<double> estimates;
-  estimates.reserve(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i)
-    estimates.push_back(hot_.has_sample[i] != 0 ? hot_.estimate_mps[i] : 0.0);
-  return estimates;
-}
-
 std::size_t MaskedEstimates::valid_count() const {
   std::size_t n = 0;
   for (const std::uint8_t v : valid) n += (v != 0) ? 1 : 0;
@@ -508,27 +400,13 @@ MaskedEstimates FleetEngine::latest_estimates_masked() const {
   out.values.reserve(nodes_.size());
   out.valid.reserve(nodes_.size());
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const bool in_service = estimate_valid_[i] != 0;
-    const bool has_sample = hot_.has_sample[i] != 0;
-    const bool ok = in_service && has_sample;
+    const std::vector<TraceSample>& trace = nodes_[i]->trace();
+    const bool ok = estimate_valid_[i] != 0 && !trace.empty();
     // Invalid entries are pinned to 0.0 — never the stale pre-fault sample.
-    out.values.push_back(ok ? hot_.estimate_mps[i] : 0.0);
+    out.values.push_back(ok ? trace.back().estimate_mps : 0.0);
     out.valid.push_back(ok ? 1 : 0);
   }
   return out;
-}
-
-std::optional<TraceSample> FleetEngine::latest_sample_view(
-    std::size_t i) const {
-  if (hot_.has_sample[i] == 0) return std::nullopt;
-  TraceSample s;
-  s.t_s = hot_.t_s[i];
-  s.bridge_voltage = hot_.bridge_voltage[i];
-  s.filtered_voltage = hot_.filtered_voltage[i];
-  s.estimate_mps = hot_.estimate_mps[i];
-  s.true_mean_mps = hot_.mean_velocity_mps[i];
-  s.direction = hot_.direction[i];
-  return s;
 }
 
 void FleetEngine::set_estimate_valid(std::size_t i, bool valid) {

@@ -13,24 +13,20 @@
 // contiguous chunks of up to 8 sensors, and each worker claims the next
 // unclaimed chunk from one atomic cursor until none is left. A worker
 // that wakes late or draws slow sensors simply claims fewer chunks, so the
-// load balances from the first epoch, with no cost model to warm up. Inside a
-// TeamSession the claimers are one persistent task parked per worker,
-// released once per epoch through an EpochBarrier (zero per-epoch enqueues);
-// with a plain pool they are one task per worker per epoch; serially the
-// caller claims every chunk itself. The per-epoch hot state (pipe snapshots
-// in, sample fields out) lives in structure-of-arrays form so an epoch
-// streams memory instead of chasing SensorNode pointers, and so readers
-// (supervisor polls, leak estimates) can scan the fleet without touching the
-// nodes.
+// load balances from the first epoch, with no cost model to warm up. With a
+// pool the claimers are one task per worker per epoch; serially the caller
+// claims every chunk itself.
 //
 // Determinism contract (the load-bearing property): each SensorNode owns all
 // of its mutable state and draws from its private counter-based RNG stream
-// (util::Rng::stream(root_seed, sensor_index)), and epoch snapshots are
-// computed serially before the fan-out. Sensor tasks therefore commute, and
-// the same root seed produces bit-identical per-sensor traces for ANY thread
-// count, chunk size and claim order. Which worker claims which chunk depends
-// on wall-clock timing and is explicitly outside the contract; the simulation
-// output must not (and does not) depend on it. tests/fleet/ enforce both.
+// (util::Rng::stream(root_seed, sensor_index)), and the network is solved
+// serially before the fan-out and only read during it, so every worker
+// derives a sensor's pipe state from the same frozen solution. Sensor tasks
+// therefore commute, and the same root seed produces bit-identical
+// per-sensor traces for ANY thread count, chunk size and claim order. Which
+// worker claims which chunk depends on wall-clock timing and is explicitly
+// outside the contract; the simulation output must not (and does not) depend
+// on it. tests/fleet/ enforce both.
 #pragma once
 
 #include <atomic>
@@ -38,7 +34,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -49,7 +44,6 @@
 #include "state/checkpoint.hpp"
 #include "util/thread_pool.hpp"
 #include "util/units.hpp"
-#include "util/worker_team.hpp"
 
 namespace aqua::fleet {
 
@@ -92,10 +86,6 @@ class FleetEngine {
               std::span<const SensorPlacement> placements,
               const FleetConfig& config);
 
-  /// Ends any live worker team (begin_team misuse backstop; the pool must
-  /// still be alive — see begin_team).
-  ~FleetEngine();
-
   /// Runs the ISIF channel self-test on every sensor, then settles every
   /// sensor at zero flow (parallel across `pool` if given). Self-test results
   /// surface through SensorNode::last_self_test() and the FleetReport; the
@@ -120,48 +110,30 @@ class FleetEngine {
   /// Fleet-wide nominal fit instead of per-sensor sweeps (cheap, less exact).
   void set_shared_fit(const cta::KingFit& fit);
 
-  /// Co-simulates `duration` in epochs; serial on the caller's thread when
-  /// `pool` is null, else parallel — bit-identical either way. With a pool
-  /// and no already-active team this wraps the whole loop in a persistent
-  /// worker team, so the steady state runs with zero per-epoch task enqueues.
+  /// Co-simulates `duration` (epochs_for(duration) epochs); serial on the
+  /// caller's thread when `pool` is null, else parallel — bit-identical
+  /// either way.
   void run(util::Seconds duration, util::ThreadPool* pool = nullptr);
 
-  /// Advances exactly one epoch: demand scaling, network solve, serial pipe
-  /// snapshots, self-claimed chunked sensor execution, clock tick. run() is a
-  /// loop over this. Fault injectors and the fleet supervisor act *between*
-  /// step_epoch calls on the caller's thread, which keeps campaigns
-  /// bit-reproducible at any thread count. Without an active team, a
-  /// non-null pool gets exactly one claiming task per worker this epoch.
+  /// Epochs in `duration`: the nearest whole number when the quotient is
+  /// within 1e-9 (relative) of it, so 0.14 s of 0.02 s epochs is 7, not the
+  /// 8 that ceil(7.000000000000001) gives; otherwise rounded up.
+  [[nodiscard]] long long epochs_for(util::Seconds duration) const;
+
+  /// Advances exactly one epoch: demand scaling, network solve, self-claimed
+  /// chunked sensor execution, clock tick. run() is a loop over this. Fault
+  /// injectors and the fleet supervisor act *between* step_epoch calls on
+  /// the caller's thread, which keeps campaigns bit-reproducible at any
+  /// thread count. A non-null pool gets exactly one claiming task per
+  /// worker, and every task has finished, trace span included, on return.
   void step_epoch(util::ThreadPool* pool = nullptr);
 
-  // --- persistent worker team (DESIGN.md §12) ------------------------------
-
-  /// Parks one persistent epoch task per pool worker; subsequent step_epoch
-  /// calls passing this pool release the team through a barrier instead of
-  /// enqueueing anything. The team OWNS every pool worker until end_team() —
-  /// do not run other work on the pool meanwhile, and always end the team
-  /// (or destroy the engine) before the pool is destroyed. No-op on nullptr;
-  /// an existing team on the same pool is kept, on another pool replaced.
-  void begin_team(util::ThreadPool* pool);
-  void end_team();
-  [[nodiscard]] bool team_active() const { return team_ != nullptr; }
-
-  /// RAII team scope — the campaign/supervision loops use this around their
-  /// step_epoch sequences:
-  ///   FleetEngine::TeamSession session{engine, pool.get()};
-  ///   for (...) { inject(); engine.step_epoch(pool.get()); poll(); }
+  /// Does nothing. Kept only because existing callers still scope their
+  /// pooled step_epoch loops with one; a pooled epoch holds no worker
+  /// between calls.
   class TeamSession {
    public:
-    TeamSession(FleetEngine& engine, util::ThreadPool* pool)
-        : engine_(engine) {
-      engine_.begin_team(pool);
-    }
-    ~TeamSession() { engine_.end_team(); }
-    TeamSession(const TeamSession&) = delete;
-    TeamSession& operator=(const TeamSession&) = delete;
-
-   private:
-    FleetEngine& engine_;
+    TeamSession(FleetEngine&, util::ThreadPool*) {}
   };
 
   [[nodiscard]] FleetReport report() const;
@@ -181,25 +153,12 @@ class FleetEngine {
   /// Epochs stepped since construction.
   [[nodiscard]] long long epochs() const { return epoch_index_; }
 
-  /// Latest per-sensor mean-velocity estimates (sensor order) — the input a
-  /// cta::LeakLocalizer expects. DEPRECATED for fault-aware consumers: for a
-  /// dead or quarantined sensor this replays the last trace sample as if it
-  /// were live data. Prefer latest_estimates_masked().
-  [[nodiscard]] std::vector<double> latest_estimates() const;
-
-  /// Latest per-sensor estimates with a validity mask. A sensor is invalid
+  /// Latest per-sensor estimates (sensor order; the input a
+  /// cta::LeakLocalizer expects) with a validity mask. A sensor is invalid
   /// while it has never produced a sample or while the supervision layer has
   /// marked it out of service (set_estimate_valid); invalid values are pinned
   /// to 0.0 so garbage cannot leak into downstream consumers unnoticed.
   [[nodiscard]] MaskedEstimates latest_estimates_masked() const;
-
-  /// Sensor `i`'s latest trace sample, served from the engine's SoA hot state
-  /// instead of the node's trace vector — the supervisor's per-epoch poll
-  /// reads this so a 10k-sensor scan streams four arrays rather than chasing
-  /// 10k node pointers. Field-for-field equal to node(i).latest_sample() for
-  /// every sample produced through step_epoch.
-  [[nodiscard]] std::optional<TraceSample> latest_sample_view(
-      std::size_t i) const;
 
   /// Marks sensor `i`'s estimate stream (in)valid. The supervisor drives this
   /// as nodes move through quarantine and recovery; all sensors start valid.
@@ -212,8 +171,8 @@ class FleetEngine {
 
   /// Serialises the engine's evolving state into `ck` as CRC-framed sections
   /// (META config fingerprint, OBSC deterministic counters, NETW hydraulic
-  /// state, FLEN engine scalars + hot SoA, NODS every sensor). Must run at a
-  /// quiescent point — between step_epoch calls, no epoch in flight.
+  /// state, FLEN engine scalars + estimate mask, NODS every sensor). Must run
+  /// at a quiescent point — between step_epoch calls, no epoch in flight.
   /// Composable: campaign layers append their own sections to the same image.
   void write_checkpoint(state::CheckpointWriter& ck) const;
 
@@ -231,24 +190,20 @@ class FleetEngine {
   void restore(std::span<const std::uint8_t> image);
 
  private:
+  /// The pipe state `node` sees under the current network solution. Reads
+  /// the network only, so fan-out workers may call it concurrently.
   [[nodiscard]] PipeState pipe_state_for(const SensorNode& node) const;
   void apply_demand_factor(double factor);
   /// Runs body(i) for every node — serially, or on the pool (commission /
   /// calibration fan-out; the epoch loop claims chunks instead).
   void dispatch(util::ThreadPool* pool,
                 const std::function<void(std::size_t)>& body);
-  /// Serially freezes this epoch's per-sensor hydraulic state into the SoA
-  /// input arrays (same arithmetic, same order, as pipe_state_for).
-  void snapshot_epoch_inputs();
-  /// Rehydrates sensor `i`'s frozen epoch input from the SoA arrays.
-  [[nodiscard]] PipeState snapshot_state(std::size_t i) const;
-  /// Advances sensor `i` one epoch from the SoA inputs and publishes its
-  /// sample fields back into the SoA outputs. Runs on pool workers for
-  /// disjoint `i` — everything it touches is per-sensor.
+  /// Advances sensor `i` one epoch under its pipe's state. Runs on pool
+  /// workers for disjoint `i` — everything it writes is per-sensor.
   void advance_sensor(std::size_t i);
-  /// The claim loop each worker of an epoch runs: takes the next chunk from
-  /// the epoch cursor until the fleet is exhausted, and records how long
-  /// worker `worker` was busy doing so.
+  /// The claim loop each worker of an epoch runs, inside one `team.epoch`
+  /// trace span: takes the next chunk from the epoch cursor until the fleet
+  /// is exhausted, and records how long worker `worker` was busy doing so.
   void claim_chunks(std::size_t worker);
 
   hydro::WaterNetwork& net_;
@@ -257,38 +212,14 @@ class FleetEngine {
   std::vector<std::unique_ptr<SensorNode>> nodes_;
   std::vector<std::uint8_t> estimate_valid_;  // per sensor, 1 = in service
 
-  /// Per-epoch hot state, structure-of-arrays: one slot per sensor. The
-  /// epoch loop writes inputs serially, workers read inputs / write outputs
-  /// for disjoint sensors, and cold readers scan outputs without touching
-  /// SensorNode.
-  struct HotState {
-    // Epoch inputs (frozen network state).
-    std::vector<double> mean_velocity_mps;
-    std::vector<double> point_velocity_mps;
-    std::vector<double> pressure_pa;
-    std::vector<double> temperature_k;
-    // Latest-sample outputs (mirrors of the node's trace back()).
-    std::vector<double> t_s;
-    std::vector<double> bridge_voltage;
-    std::vector<double> filtered_voltage;
-    std::vector<double> estimate_mps;
-    std::vector<std::int8_t> direction;
-    std::vector<std::uint8_t> has_sample;
-
-    void resize(std::size_t n);
-  };
-  HotState hot_;
-
   /// Sensors per chunk and the next unclaimed chunk of the running epoch;
-  /// both set before each release.
+  /// both set before each fan-out.
   std::size_t chunk_sensors_ = 1;
   std::atomic<std::size_t> next_chunk_{0};
   /// Busy seconds of each worker in the last epoch (disjoint slots; wall
   /// clock, scheduling telemetry only).
   std::vector<double> worker_busy_s_;
   long long epoch_index_ = 0;
-  std::unique_ptr<util::WorkerTeam> team_;
-  util::ThreadPool* team_pool_ = nullptr;
 
   util::Seconds t_{0.0};
   long long solve_failures_ = 0;

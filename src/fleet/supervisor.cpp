@@ -210,9 +210,7 @@ void FleetSupervisor::poll() {
         break;
     }
 
-    // SoA view: a fleet-wide poll streams the engine's hot arrays instead of
-    // dereferencing every node's trace vector (same fields, same values).
-    const std::optional<TraceSample> sample = engine_.latest_sample_view(i);
+    const std::optional<TraceSample> sample = engine_.node(i).latest_sample();
     if (!sample) continue;  // no epoch has run yet
     const cta::FlowReading reading{
         util::metres_per_second(sample->estimate_mps), sample->direction,

@@ -37,7 +37,9 @@ inline constexpr std::array<std::uint8_t, 8> kMagic{'A', 'Q', 'U', 'A',
 /// planner's rebalance count and per-sensor cost estimates.
 /// Version 3: the fleet META section no longer carries the retired SIMD batch
 /// path's execution-mode byte and lane-width word.
-inline constexpr std::uint32_t kFormatVersion = 3;
+/// Version 4: the fleet FLEN section no longer carries the engine's mirror of
+/// each sensor's epoch input and latest sample (the nodes' traces hold them).
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 /// Section ids are FourCCs so hexdumps of a checkpoint stay legible.
 constexpr std::uint32_t section_id(char a, char b, char c, char d) {

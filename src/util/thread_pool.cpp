@@ -24,6 +24,8 @@ const obs::Histogram kQueueDepth{"util.thread_pool.enqueue_queue_depth",
                                  obs::HistogramSpec{0.0, 64.0, 64, false}};
 }  // namespace
 
+ThreadPool::TaskScope::~TaskScope() { kTasks.add(1); }
+
 ThreadPool::ThreadPool(unsigned thread_count) {
   unsigned n = thread_count != 0 ? thread_count
                                  : std::max(1u, std::thread::hardware_concurrency());
@@ -101,11 +103,7 @@ void ThreadPool::worker_loop(std::size_t index) {
   for (;;) {
     Task task;
     if (try_pop_local(index, task) || try_steal(index, task)) {
-      {
-        AQUA_TRACE_SPAN("pool.task");
-        task();  // packaged_task captures any exception into its future
-      }
-      kTasks.add(1);
+      task();  // packaged_task captures any exception into its future
       if (in_flight_.fetch_sub(1) == 1) {
         std::lock_guard lock{wake_mutex_};
         idle_cv_.notify_all();

@@ -12,11 +12,11 @@
 // queued task, then joins. Exceptions thrown by a task are captured in the
 // std::future returned by submit() (or rethrown by parallel_for).
 //
-// Long-lived tasks: util::WorkerTeam parks one task per worker and releases
-// them once per epoch (the fleet engine's steady-state loop). While such
-// tasks are parked they count as in flight, so wait_idle() and the destructor
-// block until the team is destroyed — always tear down a WorkerTeam before
-// its pool.
+// Quiescence: a task's `pool.task` trace span and its `util.thread_pool.tasks`
+// count are both recorded before its future becomes ready. Once a caller's
+// futures (or parallel_for) have returned, no worker is still emitting on the
+// caller's behalf, so the caller may snapshot or clear obs::TraceRecorder
+// there — the fleet engine's epoch boundary is such a point.
 #pragma once
 
 #include <atomic>
@@ -30,6 +30,8 @@
 #include <thread>
 #include <type_traits>
 #include <vector>
+
+#include "obs/trace.hpp"
 
 namespace aqua::util {
 
@@ -50,7 +52,10 @@ class ThreadPool {
   template <class F>
   auto submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
     using R = std::invoke_result_t<std::decay_t<F>>;
-    std::packaged_task<R()> task{std::forward<F>(fn)};
+    std::packaged_task<R()> task{[fn = std::forward<F>(fn)]() mutable -> R {
+      const TaskScope scope;
+      return fn();
+    }};
     std::future<R> result = task.get_future();
     enqueue(Task{std::move(task)});
     return result;
@@ -94,6 +99,20 @@ class ThreadPool {
       F fn;
     };
     std::unique_ptr<Concept> impl_;
+  };
+
+  /// Brackets one task's body inside its packaged task (see Quiescence
+  /// above): the `pool.task` span, and the task count on exit, even when
+  /// the body throws.
+  class TaskScope {
+   public:
+    TaskScope() = default;
+    ~TaskScope();
+    TaskScope(const TaskScope&) = delete;
+    TaskScope& operator=(const TaskScope&) = delete;
+
+   private:
+    obs::ScopedSpan span_{"pool.task"};
   };
 
   struct Worker {

@@ -252,6 +252,29 @@ TEST(FaultInjector, RejectsOutOfRangeSensor) {
   EXPECT_THROW(FaultInjector(engine, campaign), std::invalid_argument);
 }
 
+// --- horizon length ---------------------------------------------------------
+
+// 0.14 s of 0.02 s epochs is 7 epochs, though 0.14 / 0.02 evaluates to
+// 7.000000000000001 in doubles: FleetEngine::run and a CampaignRunner over
+// that horizon must both stop after 7 epochs instead of rounding up to 8.
+TEST(CampaignRunner, HorizonOfWholeEpochsIsNotRoundedUp) {
+  District d = make_district();
+  fleet::FleetConfig cfg = make_config();
+  cfg.epoch = Seconds{0.02};
+  fleet::FleetEngine engine(d.net, d.placements, cfg);
+  engine.set_shared_fit(cta::KingFit{0.9, 1.1, 0.5});
+  engine.run(Seconds{0.14});
+  EXPECT_EQ(engine.epochs(), 7);
+
+  fleet::FleetSupervisor supervisor(engine, make_supervisor_config());
+  CampaignRunner runner{engine, supervisor, FaultCampaign{7}, Seconds{0.14}};
+  for (int e = 0; e < 7; ++e) {
+    ASSERT_FALSE(runner.done()) << "after " << e << " steps";
+    runner.step();
+  }
+  EXPECT_TRUE(runner.done());
+}
+
 // --- end-to-end campaign guarantees ----------------------------------------
 
 TEST(FaultCampaignEndToEnd, HardFaultsDetectedTransientsRecoveredNoFlaps) {

@@ -177,8 +177,12 @@ TEST(FleetEngine, AccessorsAndLatestEstimates) {
   engine.commission(Seconds{0.25});
   engine.run(Seconds{0.5});
   EXPECT_NEAR(engine.now().value(), 0.5, 1e-9);  // commission doesn't advance t
-  const auto estimates = engine.latest_estimates();
-  ASSERT_EQ(estimates.size(), 5u);
+  const MaskedEstimates estimates = engine.latest_estimates_masked();
+  ASSERT_EQ(estimates.values.size(), 5u);
+  EXPECT_EQ(estimates.valid_count(), 5u);
+  for (std::size_t i = 0; i < engine.size(); ++i)
+    EXPECT_EQ(estimates.values[i], engine.node(i).trace().back().estimate_mps)
+        << "sensor " << i;
 }
 
 TEST(FleetEngine, ThrowsWhenInitialSolveFails) {

@@ -1,16 +1,17 @@
 // Scaling battery for the self-claimed chunk epoch loop: fleets of every
 // size, ragged chunk tails included, step every sensor exactly once per
 // epoch; 1k-sensor bit-identity across thread counts; mid-run switches
-// between team, pooled and serial epochs; the "which worker runs a sensor
-// never changes RNG stream consumption" property; task accounting on the
-// pool (one claiming task per worker per epoch, or one parked task per
-// worker per team session); and scheduling telemetry that reports what the
-// workers measurably did.
+// between pools of different sizes and serial epochs; the "which worker runs
+// a sensor never changes RNG stream consumption" property; task accounting
+// on the pool (one claiming task per worker per epoch); a returned pooled
+// epoch as a quiescent point for tracing; and scheduling telemetry that
+// reports what the workers measurably did.
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "core/rig.hpp"
 #include "fleet/fleet.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/thread_pool.hpp"
 
 namespace aqua::fleet {
@@ -170,10 +172,9 @@ TEST(FleetScaling, ThousandSensorsBitIdenticalAcrossThreadCounts) {
 
 // --- mid-run changes of execution path ----------------------------------------
 
-// One engine switches between a persistent team, a plain pool of another
-// size and the serial path from epoch to epoch; 60 sensors make those
-// epochs claim 3-, 5- and 8-sensor chunks (the last one ragged). A serial
-// engine must see the same traces.
+// One engine switches between pools of two sizes and the serial path from
+// epoch to epoch; 60 sensors make those epochs claim 3-, 5- and 8-sensor
+// chunks (the last one ragged). A serial engine must see the same traces.
 TEST(FleetScaling, MidRunChunkAndThreadChangesAreBitIdentical) {
   constexpr std::size_t kReplicas = 2;
   District da = make_district(kReplicas);
@@ -188,11 +189,8 @@ TEST(FleetScaling, MidRunChunkAndThreadChangesAreBitIdentical) {
   engine.set_shared_fit(cta::KingFit{0.9, 1.1, 0.5});
   util::ThreadPool pool4{4};
   util::ThreadPool pool3{3};
-  {
-    FleetEngine::TeamSession session{engine, &pool4};
-    engine.step_epoch(&pool4);
-    engine.step_epoch(&pool4);
-  }
+  engine.step_epoch(&pool4);
+  engine.step_epoch(&pool4);
   engine.step_epoch(&pool3);
   engine.step_epoch(&pool3);
   engine.step_epoch(nullptr);
@@ -249,9 +247,9 @@ std::uint64_t pool_tasks_completed() {
   return 0;
 }
 
-// Without a team, each epoch costs one claiming task per pool worker — never
-// a task per chunk or per sensor; a persistent team costs one parked task
-// per worker for an entire session, independent of the epoch count.
+// Each pooled epoch costs one claiming task per pool worker — never a task
+// per chunk or per sensor. A task is counted before its future is ready, so
+// the count is complete when step_epoch returns.
 TEST(FleetScaling, ExactlyOneTaskPerWorkerPerEpochWithoutATeam) {
   District d = make_district(1);  // 32 sensors: 8 chunks on 4 workers
   FleetEngine engine(d.net, d.placements, make_config());
@@ -261,30 +259,60 @@ TEST(FleetScaling, ExactlyOneTaskPerWorkerPerEpochWithoutATeam) {
   const std::uint64_t before = pool_tasks_completed();
   constexpr long long kEpochs = 5;
   for (long long e = 0; e < kEpochs; ++e) engine.step_epoch(&pool);
-  pool.wait_idle();  // the counter increments as each task retires
   EXPECT_EQ(pool_tasks_completed() - before,
             static_cast<std::uint64_t>(kEpochs) * pool.thread_count());
 }
 
-TEST(FleetScaling, TeamSessionCostsOneParkedTaskPerWorker) {
+// --- a returned pooled epoch is a quiescent point for tracing ----------------
+
+// Spans named `name` whose begin and end both sit on one track, or -1 if any
+// track holds an end without its begin or a begin without its end.
+long long closed_spans(const obs::TraceSnapshot& snap, std::string_view name) {
+  long long count = 0;
+  for (const obs::TraceTrack& track : snap.tracks) {
+    std::vector<const char*> open;
+    for (const obs::TraceEvent& ev : track.events) {
+      if (ev.kind == obs::TraceEventKind::kSpanBegin) {
+        open.push_back(ev.name);
+      } else if (ev.kind == obs::TraceEventKind::kSpanEnd) {
+        if (open.empty() || std::string_view{open.back()} != ev.name) return -1;
+        if (name == ev.name) ++count;
+        open.pop_back();
+      }
+    }
+    if (!open.empty()) return -1;
+  }
+  return count;
+}
+
+// The benchmark's traced passes snapshot and clear the recorder after every
+// step_epoch. That is only sound if no pool worker still emits once the
+// epoch has returned — each task's own `pool.task` span included — else a
+// late end event lands after the clear and the next snapshot opens with an
+// orphan. Every snapshot must hold exactly one closed claim-loop span per
+// worker and nothing unmatched.
+TEST(FleetScaling, TracedPooledEpochsAreQuiescentOnReturn) {
   District d = make_district(1);
+  d.placements.resize(4);  // cheap epochs: many boundaries per second
   FleetEngine engine(d.net, d.placements, make_config());
   engine.set_shared_fit(cta::KingFit{0.9, 1.1, 0.5});
   util::ThreadPool pool{4};
 
-  const std::uint64_t before = pool_tasks_completed();
-  {
-    FleetEngine::TeamSession session{engine, &pool};
-    EXPECT_TRUE(engine.team_active());
-    for (long long e = 0; e < 10; ++e) engine.step_epoch(&pool);
-  }  // ~TeamSession retires the 4 parked tasks
-  EXPECT_FALSE(engine.team_active());
-  pool.wait_idle();
-  const std::uint64_t team_tasks = pool_tasks_completed() - before;
-  // 10 epochs cost the same 4 tasks as 0 epochs would: parked workers, zero
-  // per-epoch enqueues.
-  EXPECT_EQ(team_tasks, pool.thread_count());
-  EXPECT_EQ(engine.epochs(), 10);
+  obs::TraceRecorder& recorder = obs::TraceRecorder::instance();
+  recorder.clear();
+  obs::TraceRecorder::set_enabled(true);
+  constexpr int kEpochs = 64;
+  for (int e = 0; e < kEpochs; ++e) {
+    engine.step_epoch(&pool);
+    const obs::TraceSnapshot snap = recorder.snapshot();
+    recorder.clear();
+    EXPECT_EQ(snap.dropped_total, 0u) << "epoch " << e;
+    EXPECT_EQ(closed_spans(snap, "team.epoch"),
+              static_cast<long long>(pool.thread_count()))
+        << "epoch " << e;
+  }
+  obs::TraceRecorder::set_enabled(false);
+  recorder.clear();
 }
 
 // --- scheduling telemetry -------------------------------------------------------
@@ -313,10 +341,7 @@ TEST(FleetScaling, WorkerTelemetryShowsAOneWorkerEpoch) {
   const obs::HistogramSnapshot imb0 = histogram("fleet.worker_imbalance");
   const obs::HistogramSnapshot util0 = histogram("fleet.worker_utilization");
   constexpr int kEpochs = 3;
-  {
-    FleetEngine::TeamSession session{engine, &pool};
-    for (int e = 0; e < kEpochs; ++e) engine.step_epoch(&pool);
-  }
+  for (int e = 0; e < kEpochs; ++e) engine.step_epoch(&pool);
   engine.step_epoch(nullptr);  // serial epochs record no scheduling telemetry
   const obs::HistogramSnapshot imb = histogram("fleet.worker_imbalance");
   const obs::HistogramSnapshot util = histogram("fleet.worker_utilization");
