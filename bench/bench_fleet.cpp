@@ -42,34 +42,12 @@ struct District {
   std::vector<fleet::SensorPlacement> placements;
 };
 
-// Reservoir feeding four radial chains of eight pipes each (32 pipes, one
-// sensor per pipe) — the "widely diffused" deployment of paper §6. Larger
-// fleets replicate this proven district: each replica is hydraulically
-// independent, so every replica converges exactly like the original (no
-// giant-hub head-loss pathology). The nodal solve is dense, so the largest
-// fleets put several probes on each pipe (at radius fractions 0, 0.09, ...)
-// instead of growing the network past what one epoch's solve can afford.
+// One sensor per pipe of bench::replicated_district — the "widely diffused"
+// deployment of paper §6. The largest fleet, the 10k completion run, puts
+// several probes on each pipe (at radius fractions 0, 0.09, ...) rather
+// than adding pipes; growing its network would move its committed checksum.
 District make_district(std::size_t replicas = 1, int probes_per_pipe = 1) {
-  District d;
-  for (std::size_t rep = 0; rep < replicas; ++rep) {
-    const auto res = d.net.add_reservoir(45.0);
-    const auto hub = d.net.add_junction(2.0, 0.002);
-    const auto first_pipe = d.net.pipe_count();
-    d.net.add_pipe(res, hub, util::metres(200.0), util::millimetres(250.0));
-    for (int chain = 0; chain < 4; ++chain) {
-      auto prev = hub;
-      for (int k = 0; k < 8; ++k) {
-        if (d.net.pipe_count() - first_pipe >= 32) break;
-        // Tapered mains: diameters shrink with the remaining demand so the
-        // velocity stays turbulent even at the 0.3× night factor (the
-        // solver's successive linearisation stalls in the transition regime).
-        const auto next = d.net.add_junction(1.5 - 0.1 * k, 0.002);
-        d.net.add_pipe(prev, next, util::metres(250.0),
-                       util::millimetres(150.0 - 14.0 * k));
-        prev = next;
-      }
-    }
-  }
+  District d{bench::replicated_district(replicas), {}};
   for (hydro::WaterNetwork::PipeId p = 0; p < d.net.pipe_count(); ++p)
     for (int k = 0; k < probes_per_pipe; ++k)
       d.placements.push_back(fleet::SensorPlacement{p, 0.09 * k});
@@ -220,8 +198,8 @@ ScalingReport run_scaling_sweep(unsigned hw) {
 
   const std::size_t xl_target = env_sensors("AQUA_FLEET_XL_SENSORS", 10240);
   if (xl_target > 0) {
-    // 32 districts (1024 pipes) keep the dense solve small; the probes per
-    // pipe carry the fleet to the target size.
+    // 32 districts (1024 pipes, fixed by the committed checksum); the probes
+    // per pipe carry the fleet to the target size.
     const std::size_t xl_replicas = 32;
     const std::size_t pipes = xl_replicas * kSensorsPerReplica;
     const int probes = static_cast<int>((xl_target + pipes - 1) / pipes);

@@ -7,6 +7,7 @@
 
 #include "analog/amplifier.hpp"
 #include "analog/sigma_delta.hpp"
+#include "common.hpp"
 #include "core/cta.hpp"
 #include "core/rig.hpp"
 #include "dsp/biquad.hpp"
@@ -188,6 +189,20 @@ void BM_NetworkSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NetworkSolve)->Arg(6)->Arg(20);
+
+// bench::replicated_district at range(0) replicas: at 32, the 1024-unknown
+// network of the end-to-end diurnal-dma workload. Times a warm solve, like
+// BM_NetworkSolve.
+void BM_NetworkSolveDistrict(benchmark::State& state) {
+  const auto replicas = static_cast<std::size_t>(state.range(0));
+  hydro::WaterNetwork net = bench::replicated_district(replicas);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net.solve());
+  }
+  state.counters["unknowns"] =
+      static_cast<double>(net.node_count() - replicas);
+}
+BENCHMARK(BM_NetworkSolveDistrict)->Arg(32)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -20,11 +20,15 @@ constexpr double kPi = 3.14159265358979323846;
 
 WaterNetwork::NodeId WaterNetwork::add_junction(double elevation_m,
                                                 double demand_m3s) {
+  if (!std::isfinite(elevation_m) || !std::isfinite(demand_m3s))
+    throw std::invalid_argument("WaterNetwork: non-finite junction");
   nodes_.push_back(Node{false, elevation_m, demand_m3s, 0.0, elevation_m + 20.0});
   return nodes_.size() - 1;
 }
 
 WaterNetwork::NodeId WaterNetwork::add_reservoir(double head_m) {
+  if (!std::isfinite(head_m))
+    throw std::invalid_argument("WaterNetwork: non-finite reservoir head");
   nodes_.push_back(Node{true, head_m, 0.0, 0.0, head_m});
   return nodes_.size() - 1;
 }
@@ -34,7 +38,9 @@ WaterNetwork::PipeId WaterNetwork::add_pipe(NodeId from, NodeId to,
                                             double roughness_mm) {
   if (from >= nodes_.size() || to >= nodes_.size() || from == to)
     throw std::invalid_argument("WaterNetwork: bad pipe endpoints");
-  if (length.value() <= 0.0 || diameter.value() <= 0.0)
+  const auto positive = [](double x) { return std::isfinite(x) && x > 0.0; };
+  if (!positive(length.value()) || !positive(diameter.value()) ||
+      !std::isfinite(roughness_mm))
     throw std::invalid_argument("WaterNetwork: bad pipe geometry");
   pipes_.push_back(Pipe{from, to, length.value(), diameter.value(),
                         roughness_mm * 1e-3, 0.0});
@@ -44,12 +50,16 @@ WaterNetwork::PipeId WaterNetwork::add_pipe(NodeId from, NodeId to,
 void WaterNetwork::set_demand(NodeId junction, double demand_m3s) {
   if (junction >= nodes_.size() || nodes_[junction].reservoir)
     throw std::invalid_argument("WaterNetwork: set_demand needs a junction");
+  if (!std::isfinite(demand_m3s))
+    throw std::invalid_argument("WaterNetwork: non-finite demand");
   nodes_[junction].demand = demand_m3s;
 }
 
 void WaterNetwork::scale_demands(double factor) {
   if (factor < 0.0)
     throw std::invalid_argument("WaterNetwork: negative demand factor");
+  if (!std::isfinite(factor))
+    throw std::invalid_argument("WaterNetwork: non-finite demand factor");
   for (Node& n : nodes_)
     if (!n.reservoir) n.demand *= factor;
 }
@@ -70,6 +80,8 @@ void WaterNetwork::set_leak(NodeId junction, double emitter_coefficient) {
     throw std::invalid_argument("WaterNetwork: set_leak needs a junction");
   if (emitter_coefficient < 0.0)
     throw std::invalid_argument("WaterNetwork: negative emitter coefficient");
+  if (!std::isfinite(emitter_coefficient))
+    throw std::invalid_argument("WaterNetwork: non-finite emitter coefficient");
   nodes_[junction].emitter = emitter_coefficient;
 }
 
@@ -100,13 +112,48 @@ bool WaterNetwork::solve(util::Kelvin water_temperature) {
     throw std::logic_error("WaterNetwork: needs at least one reservoir");
   if (n_unknown == 0) return true;
 
+  // The nodal matrix holds a diagonal entry per unknown and a symmetric pair
+  // per open pipe between two unknowns. The structure is fixed for this
+  // call, so each sweep refills the same slots: per pipe, (from, from),
+  // (from, to), (to, to) and (to, from), where both ends are unknowns.
+  std::vector<util::SparseSystem::Entry> links;
+  for (const Pipe& p : pipes_) {
+    const std::size_t uf = unknown_of[p.from];
+    const std::size_t ut = unknown_of[p.to];
+    if (!p.open || uf == SIZE_MAX || ut == SIZE_MAX) continue;
+    links.push_back({uf, ut});
+    links.push_back({ut, uf});
+  }
+  util::SparseSystem system(n_unknown, links);
+  struct Slots {
+    std::size_t ff = SIZE_MAX, ft = SIZE_MAX, tt = SIZE_MAX, tf = SIZE_MAX;
+  };
+  std::vector<Slots> slots(pipes_.size());
+  for (std::size_t i = 0; i < pipes_.size(); ++i) {
+    const std::size_t uf = unknown_of[pipes_[i].from];
+    const std::size_t ut = unknown_of[pipes_[i].to];
+    if (!pipes_[i].open) continue;
+    if (uf != SIZE_MAX) slots[i].ff = system.slot(uf, uf);
+    if (ut != SIZE_MAX) slots[i].tt = system.slot(ut, ut);
+    if (uf != SIZE_MAX && ut != SIZE_MAX) {
+      slots[i].ft = system.slot(uf, ut);
+      slots[i].tf = system.slot(ut, uf);
+    }
+  }
+  // K·max(|q|, q_floor) per pipe: the sweep's linearised resistance, used by
+  // both the assembly and the flow update.
+  std::vector<double> resistance(pipes_.size(), 0.0);
+  std::vector<double> b(n_unknown, 0.0);
+
   // Successive linearisation: Δh = K·q·|q|  →  q ≈ Δh / (K·|q_prev|), with a
   // laminar-style floor so the first sweep is well-posed.
   for (int iter = 0; iter < 200; ++iter) {
-    std::vector<double> a(n_unknown * n_unknown, 0.0);
-    std::vector<double> b(n_unknown, 0.0);
+    system.clear();
+    std::fill(b.begin(), b.end(), 0.0);
+    const std::span<double> a = system.values();
 
-    for (Pipe& p : pipes_) {
+    for (std::size_t i = 0; i < pipes_.size(); ++i) {
+      const Pipe& p = pipes_[i];
       if (!p.open) continue;
       const double area = kPi * 0.25 * p.diameter * p.diameter;
       const double v = std::abs(p.flow) / area;
@@ -116,23 +163,24 @@ bool WaterNetwork::solve(util::Kelvin water_temperature) {
       const double k =
           f * p.length / (p.diameter * 2.0 * kGravity * area * area);
       const double q_floor = 1e-5;  // m³/s
-      const double g = 1.0 / (k * std::max(std::abs(p.flow), q_floor));
+      resistance[i] = k * std::max(std::abs(p.flow), q_floor);
+      const double g = 1.0 / resistance[i];
 
       const Node& nf = nodes_[p.from];
       const Node& nt = nodes_[p.to];
       const std::size_t uf = unknown_of[p.from];
       const std::size_t ut = unknown_of[p.to];
       if (uf != SIZE_MAX) {
-        a[uf * n_unknown + uf] += g;
+        a[slots[i].ff] += g;
         if (ut != SIZE_MAX)
-          a[uf * n_unknown + ut] -= g;
+          a[slots[i].ft] -= g;
         else
           b[uf] += g * nt.head;
       }
       if (ut != SIZE_MAX) {
-        a[ut * n_unknown + ut] += g;
+        a[slots[i].tt] += g;
         if (uf != SIZE_MAX)
-          a[ut * n_unknown + uf] -= g;
+          a[slots[i].tf] -= g;
         else
           b[ut] += g * nf.head;
       }
@@ -146,38 +194,34 @@ bool WaterNetwork::solve(util::Kelvin water_temperature) {
       b[u] -= nodes_[i].demand + leak_flow(i);
     }
 
-    std::vector<double> heads;
     try {
-      heads = util::solve_linear(std::move(a), std::move(b));
+      system.solve(b);  // b now holds the heads
     } catch (const std::invalid_argument&) {
       return false;  // disconnected component or degenerate system
     }
 
-    // Update node heads (with damping) and pipe flows.
+    // Update node heads (with damping) and pipe flows. A non-finite head
+    // never converges.
     double max_delta = 0.0;
+    bool finite = true;
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
       const std::size_t u = unknown_of[i];
       if (u == SIZE_MAX) continue;
-      const double new_head = 0.5 * (nodes_[i].head + heads[u]);
+      const double new_head = 0.5 * (nodes_[i].head + b[u]);
       max_delta = std::max(max_delta, std::abs(new_head - nodes_[i].head));
+      finite = finite && std::isfinite(new_head);
       nodes_[i].head = new_head;
     }
-    for (Pipe& p : pipes_) {
+    for (std::size_t i = 0; i < pipes_.size(); ++i) {
+      Pipe& p = pipes_[i];
       if (!p.open) {
         p.flow = 0.0;
         continue;
       }
-      const double area = kPi * 0.25 * p.diameter * p.diameter;
-      const double v = std::abs(p.flow) / area;
-      const double re = std::max(
-          10.0, pipe_reynolds(props, MetresPerSecond{v}, Metres{p.diameter}));
-      const double f = darcy_friction_factor(re, p.roughness / p.diameter);
-      const double k =
-          f * p.length / (p.diameter * 2.0 * kGravity * area * area);
       const double dh = nodes_[p.from].head - nodes_[p.to].head;
-      const double q_floor = 1e-5;
-      p.flow = dh / (k * std::max(std::abs(p.flow), q_floor));
+      p.flow = dh / resistance[i];
     }
+    if (!finite) return false;
     if (max_delta < 1e-7 && iter > 3) return true;
   }
   return false;

@@ -8,8 +8,10 @@
 //
 // The solver iterates successive linearisation of the head-loss relation
 // Δh = K(q)·q·|q| (friction factor refreshed from Re each sweep), assembling
-// a nodal linear system solved with the dense solver — robust for the tens of
-// nodes the monitoring scenarios use.
+// a nodal linear system solved by util::SparseSystem: the dense solver's
+// partial-pivot elimination on the matrix's structural nonzeros and fill
+// only, bit-identical to it and O(nonzeros + fill) in memory, so districts
+// of a thousand junctions solve in milliseconds.
 #pragma once
 
 #include <cstddef>
@@ -24,6 +26,9 @@ class WaterNetwork {
  public:
   using NodeId = std::size_t;
   using PipeId = std::size_t;
+
+  // add_junction, add_reservoir, add_pipe, set_demand, scale_demands and
+  // set_leak throw std::invalid_argument on a non-finite argument.
 
   /// Junction with a consumer demand (m³/s) at the given elevation.
   NodeId add_junction(double elevation_m, double demand_m3s = 0.0);
@@ -50,8 +55,11 @@ class WaterNetwork {
   /// m³/s per √m; 0 removes the leak.
   void set_leak(NodeId junction, double emitter_coefficient);
 
-  /// Solves the network. Returns false if the iteration failed to converge
-  /// (the previous solution is left in place).
+  /// Solves the network. Returns false if the iteration failed to converge,
+  /// hit a singular system (a component without a reservoir) or produced a
+  /// non-finite head. Every sweep overwrites the heads and flows, so a false
+  /// return leaves the last, non-converged iterate in place, not the
+  /// previous solution; the next solve starts from it.
   [[nodiscard]] bool solve(util::Kelvin water_temperature = util::celsius(15.0));
 
   // --- topology/geometry accessors (fleet attachment, mass-balance checks) ---

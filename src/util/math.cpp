@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 namespace aqua::util {
@@ -52,6 +53,158 @@ std::vector<double> solve_linear(std::vector<double> a, std::vector<double> b) {
     x[r] = acc / a[r * n + r];
   }
   return x;
+}
+
+SparseSystem::SparseSystem(std::size_t n, std::span<const Entry> entries) {
+  // Rows of A's pattern with the diagonal: sorted, without repeats.
+  std::vector<Entry> pattern(entries.begin(), entries.end());
+  for (std::size_t r = 0; r < n; ++r) pattern.push_back({r, r});
+  std::sort(pattern.begin(), pattern.end());
+  pattern.erase(std::unique(pattern.begin(), pattern.end()), pattern.end());
+  std::vector<std::size_t> a_start(n + 1, 0);
+  std::vector<std::size_t> a_col;
+  a_col.reserve(pattern.size());
+  for (const auto& [r, c] : pattern) {
+    if (r >= n || c >= n)
+      throw std::invalid_argument("SparseSystem: entry out of range");
+    ++a_start[r + 1];
+    a_col.push_back(c);
+  }
+  for (std::size_t r = 0; r < n; ++r) a_start[r + 1] += a_start[r];
+
+  // Symbolic elimination. At step k the candidate rows are those whose
+  // pattern holds column k; each gets the union U_k of their patterns, which
+  // is row k's final pattern on and right of the diagonal. The rows below k
+  // then share U_k \ {k} and wait, as group n + k, for its first column. A
+  // row r untouched so far waits, as item r, for the first column of its
+  // own row of A.
+  std::vector<std::size_t> waiting(n, SIZE_MAX);  // per column: first item
+  std::vector<std::size_t> next(2 * n, SIZE_MAX);  // per item: next in line
+  const auto wait_for = [&](std::size_t column, std::size_t item) {
+    next[item] = waiting[column];
+    waiting[column] = item;
+  };
+  for (std::size_t r = 0; r < n; ++r) wait_for(a_col[a_start[r]], r);
+  std::vector<std::size_t> u_start(n + 1, 0);
+  std::vector<std::size_t> u_col;
+  u_col.reserve(a_col.size());
+  std::vector<std::size_t> members;
+  below_start_.assign(n + 1, 0);
+  std::vector<std::size_t> mark(n, SIZE_MAX);  // last step that took a column
+  // Adds cols[first, last) to U_k; by index, as cols may be u_col itself.
+  const auto take = [&](std::size_t k, const std::vector<std::size_t>& cols,
+                        std::size_t first, std::size_t last) {
+    for (; first != last; ++first)
+      if (mark[cols[first]] != k) {
+        mark[cols[first]] = k;
+        u_col.push_back(cols[first]);
+      }
+  };
+  for (std::size_t k = 0; k < n; ++k) {
+    u_start[k] = u_col.size();
+    below_start_[k] = below_row_.size();
+    members.clear();
+    for (std::size_t item = waiting[k]; item != SIZE_MAX; item = next[item]) {
+      if (item < n) {
+        take(k, a_col, a_start[item], a_start[item + 1]);
+        if (item != k) members.push_back(item);
+        continue;
+      }
+      const std::size_t g = item - n;
+      take(k, u_col, u_start[g] + 1, u_start[g + 1]);
+      for (std::size_t j = below_start_[g]; j < below_start_[g + 1]; ++j)
+        if (below_row_[j] != k) members.push_back(below_row_[j]);
+    }
+    std::sort(u_col.begin() + static_cast<std::ptrdiff_t>(u_start[k]),
+              u_col.end());
+    std::sort(members.begin(), members.end());
+    below_row_.insert(below_row_.end(), members.begin(), members.end());
+    if (!members.empty()) wait_for(u_col[u_start[k] + 1], n + k);
+  }
+  u_start[n] = u_col.size();
+  below_start_[n] = below_row_.size();
+
+  // Row r stores its columns left of the diagonal (the steps k < r it was a
+  // candidate in), then U_r.
+  std::vector<std::size_t> left(n, 0);
+  for (const std::size_t r : below_row_) ++left[r];
+  row_start_.assign(n + 1, 0);
+  diag_.resize(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    diag_[r] = row_start_[r] + left[r];
+    row_start_[r + 1] = diag_[r] + (u_start[r + 1] - u_start[r]);
+  }
+  col_.resize(row_start_[n]);
+  for (std::size_t r = 0; r < n; ++r)
+    std::copy(u_col.begin() + static_cast<std::ptrdiff_t>(u_start[r]),
+              u_col.begin() + static_cast<std::ptrdiff_t>(u_start[r + 1]),
+              col_.begin() + static_cast<std::ptrdiff_t>(diag_[r]));
+  below_slot_.resize(below_row_.size());
+  std::copy(row_start_.begin(), row_start_.end() - 1, left.begin());
+  for (std::size_t k = 0; k < n; ++k)
+    for (std::size_t j = below_start_[k]; j < below_start_[k + 1]; ++j) {
+      const std::size_t s = left[below_row_[j]]++;
+      col_[s] = k;
+      below_slot_[j] = s;
+    }
+  val_.assign(col_.size(), 0.0);
+}
+
+std::size_t SparseSystem::slot(std::size_t row, std::size_t col) const {
+  if (row < size()) {
+    const auto first = col_.begin() + static_cast<std::ptrdiff_t>(row_start_[row]);
+    const auto last = col_.begin() + static_cast<std::ptrdiff_t>(row_start_[row + 1]);
+    const auto it = std::lower_bound(first, last, col);
+    if (it != last && *it == col) return static_cast<std::size_t>(it - col_.begin());
+  }
+  throw std::out_of_range("SparseSystem: entry outside the structure");
+}
+
+void SparseSystem::clear() { std::fill(val_.begin(), val_.end(), 0.0); }
+
+void SparseSystem::solve(std::span<double> b) {
+  const std::size_t n = size();
+  if (b.size() != n) throw std::invalid_argument("SparseSystem: shape mismatch");
+  double* const a = val_.data();
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t d = diag_[k];
+    const std::size_t end = row_start_[k + 1];
+    // Partial pivot: solve_linear's scan, over the rows that can be nonzero.
+    std::size_t pivot = k, pivot_slot = d;
+    for (std::size_t j = below_start_[k]; j < below_start_[k + 1]; ++j)
+      if (std::abs(a[below_slot_[j]]) > std::abs(a[pivot_slot])) {
+        pivot = below_row_[j];
+        pivot_slot = below_slot_[j];
+      }
+    if (std::abs(a[pivot_slot]) < 1e-14)
+      throw std::invalid_argument("SparseSystem: singular matrix");
+    if (pivot != k) {
+      // The pivot row stores every column of row k's; both are zero beyond.
+      std::size_t q = pivot_slot;
+      for (std::size_t s = d; s < end; ++s, ++q) {
+        while (col_[q] != col_[s]) ++q;
+        std::swap(a[s], a[q]);
+      }
+      std::swap(b[pivot], b[k]);
+    }
+    for (std::size_t j = below_start_[k]; j < below_start_[k + 1]; ++j) {
+      std::size_t q = below_slot_[j];
+      const double f = a[q] / a[d];
+      if (f == 0.0) continue;
+      for (std::size_t s = d + 1; s < end; ++s) {
+        do ++q;
+        while (col_[q] != col_[s]);
+        a[q] -= f * a[s];
+      }
+      b[below_row_[j]] -= f * b[k];
+    }
+  }
+  for (std::size_t r = n; r-- > 0;) {
+    double acc = b[r];
+    for (std::size_t s = diag_[r] + 1; s < row_start_[r + 1]; ++s)
+      acc -= a[s] * b[col_[s]];
+    b[r] = acc / a[diag_[r]];
+  }
 }
 
 std::vector<double> least_squares(std::span<const double> x_rowmajor,

@@ -1,10 +1,12 @@
 // math.hpp — small numerical toolbox shared across modules: polynomial
-// evaluation, linear least squares (tiny dense solver), 1-D minimisation and
-// root bracketing, interpolation.
+// evaluation, linear least squares (tiny dense solver), an exact sparse twin
+// of the dense solver, 1-D minimisation and root bracketing, interpolation.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace aqua::util {
@@ -21,6 +23,59 @@ namespace aqua::util {
 /// (numerically) singular matrix.
 [[nodiscard]] std::vector<double> solve_linear(std::vector<double> a,
                                                std::vector<double> b);
+
+/// solve_linear restricted to the entries that can be nonzero. The structure
+/// is fixed at construction; each solve() then runs solve_linear's partial-
+/// pivot elimination in the same unknown order on the stored entries only,
+/// in O(stored) memory with no n×n array.
+///
+/// Bit-identity contract: solve() returns exactly solve_linear(A, b), and
+/// throws std::invalid_argument exactly when it does, provided
+///  - every entry of A outside the structure is zero (a superset is fine),
+///  - every entry of A and b is finite and none is -0.0, and
+///  - no intermediate overflows.
+/// It picks the same pivot on every column (the first row of largest
+/// magnitude), applies the same `a -= f * b` to every entry the dense loop
+/// changes, and back-substitutes each row in increasing column order. An
+/// update it skips is `x -= f * (+0.0)` with |f| ≤ 1, which leaves a finite x
+/// unchanged because no entry ever becomes -0.0. The dense loop's update of
+/// the entry it eliminates is skipped too: no later step reads it.
+///
+/// Every row that can hold a nonzero in column k at step k may become that
+/// step's pivot, so all of them are given the union of their patterns (the
+/// static structure of George & Ng). The structure then covers any pivot
+/// sequence, and a row swap only exchanges values.
+class SparseSystem {
+ public:
+  using Entry = std::pair<std::size_t, std::size_t>;  ///< (row, column)
+
+  /// Structure of an n×n matrix whose nonzeros lie in `entries` (any order,
+  /// repeats allowed) or on the diagonal. Throws std::invalid_argument on an
+  /// index ≥ n.
+  SparseSystem(std::size_t n, std::span<const Entry> entries);
+
+  [[nodiscard]] std::size_t size() const { return diag_.size(); }
+  /// Entries stored: the structure, the diagonal and all possible fill.
+  [[nodiscard]] std::size_t stored() const { return col_.size(); }
+  /// Index of entry (row, col) in values(); throws std::out_of_range if the
+  /// structure does not hold it.
+  [[nodiscard]] std::size_t slot(std::size_t row, std::size_t col) const;
+  /// The stored entries, indexed by slot(). solve() overwrites them.
+  [[nodiscard]] std::span<double> values() { return val_; }
+  /// Zeroes every stored entry, ready for the next assembly.
+  void clear();
+  /// Solves A·x = b for the assembled A, overwriting b with x.
+  void solve(std::span<double> b);
+
+ private:
+  std::vector<std::size_t> row_start_;  // row r: slots [row_start_[r], row_start_[r+1])
+  std::vector<std::size_t> col_;        // column of each slot, ascending in a row
+  std::vector<std::size_t> diag_;       // slot of (r, r)
+  std::vector<std::size_t> below_start_;  // column k: pivot candidates below k
+  std::vector<std::size_t> below_row_;    // ascending within a column
+  std::vector<std::size_t> below_slot_;   // slot of (below_row_[j], k)
+  std::vector<double> val_;
+};
 
 /// Ordinary least squares: finds beta minimising |X·beta − y|² where X is
 /// row-major with `cols` columns. Solves the normal equations; fine for the

@@ -2,9 +2,10 @@
 // The block-execution contract (DESIGN.md §9) promises that once the per-node
 // scratch is sized, tick_frame()/process_frame() run allocation-free; this TU
 // replaces the global operator new/delete with counting forwarders and asserts
-// a zero delta across settled frames. A byte total bounds the heap a fleet
-// sensor takes at construction. The override is process-wide, but it
-// only counts — behaviour of every other test in this binary is unchanged.
+// a zero delta across settled frames. Byte totals bound the heap a fleet
+// sensor takes at construction and the heap one network solve takes. The
+// override is process-wide, but it only counts — behaviour of every other
+// test in this binary is unchanged.
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -14,6 +15,7 @@
 
 #include "core/cta.hpp"
 #include "core/rig.hpp"
+#include "../hydro/replicated_district.hpp"
 #include "fleet/sensor_node.hpp"
 #include "isif/channel.hpp"
 #include "util/rng.hpp"
@@ -131,6 +133,21 @@ TEST(BlockAllocation, SensorNodeConstructionDrawsNoDacTable) {
                                util::Metres{0.1}, Rng::stream(42, 0)};
   const long bytes = g_allocated_bytes.load(std::memory_order_relaxed) - before;
   EXPECT_LT(bytes, kTwelveBitTableBytes);
+#endif
+}
+
+TEST(BlockAllocation, DistrictSolveTakesLessThanOneDenseMatrix) {
+#ifdef AQUA_SANITIZED
+  GTEST_SKIP() << "sanitizer runtimes allocate behind the allocator hooks";
+#else
+  // The 1024-unknown district's nodal matrix would be 8 MiB as an n×n
+  // array. A whole cold solve, every sweep included, allocates less.
+  constexpr long kDenseMatrixBytes = 1024L * 1024L * sizeof(double);
+  hydro::WaterNetwork net = hydro::replicated_district(32);
+  const long before = g_allocated_bytes.load(std::memory_order_relaxed);
+  ASSERT_TRUE(net.solve());
+  const long bytes = g_allocated_bytes.load(std::memory_order_relaxed) - before;
+  EXPECT_LT(bytes, kDenseMatrixBytes);
 #endif
 }
 

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
+#include "fleet/fleet.hpp"
 #include "hydro/profiles.hpp"
 #include "phys/fluid.hpp"
+#include "replicated_district.hpp"
 
 namespace aqua::hydro {
 namespace {
@@ -193,6 +199,90 @@ TEST(WaterNetwork, Validation) {
   WaterNetwork no_res;
   no_res.add_junction(0.0, 0.01);
   EXPECT_THROW((void)no_res.solve(), std::logic_error);
+
+  // Non-finite inputs are refused where they enter, not solved into NaN.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(net.set_demand(j, kNaN), std::invalid_argument);
+  EXPECT_THROW(net.set_demand(j, kInf), std::invalid_argument);
+  EXPECT_THROW(net.scale_demands(kNaN), std::invalid_argument);
+  EXPECT_THROW(net.scale_demands(kInf), std::invalid_argument);
+  EXPECT_THROW(net.set_leak(j, kNaN), std::invalid_argument);
+  EXPECT_THROW(net.set_leak(j, kInf), std::invalid_argument);
+  EXPECT_THROW((void)net.add_junction(kNaN), std::invalid_argument);
+  EXPECT_THROW((void)net.add_junction(0.0, kInf), std::invalid_argument);
+  EXPECT_THROW((void)net.add_reservoir(kNaN), std::invalid_argument);
+  EXPECT_THROW((void)net.add_pipe(res, j, metres(kNaN), millimetres(100.0)),
+               std::invalid_argument);
+  EXPECT_THROW((void)net.add_pipe(res, j, metres(1.0), millimetres(kInf)),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)net.add_pipe(res, j, metres(1.0), millimetres(100.0), kNaN),
+      std::invalid_argument);
+  EXPECT_EQ(net.node_count(), 2u);
+  EXPECT_EQ(net.pipe_count(), 0u);
+
+  // A finite demand whose heads overflow must not read as converged.
+  WaterNetwork huge;
+  const auto top = huge.add_reservoir(50.0);
+  const auto a = huge.add_junction(0.0, 0.005);
+  const auto b = huge.add_junction(0.0, 1e306);
+  (void)huge.add_pipe(top, a, metres(600.0), millimetres(150.0));
+  (void)huge.add_pipe(a, b, metres(600.0), millimetres(100.0));
+  EXPECT_FALSE(huge.solve());
+}
+
+// FNV-1a over the bits of every head, then every flow.
+std::uint64_t solution_hash(const WaterNetwork& net) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](double v) {
+    h ^= std::bit_cast<std::uint64_t>(v);
+    h *= 0x100000001b3ull;
+  };
+  for (WaterNetwork::NodeId n = 0; n < net.node_count(); ++n)
+    mix(net.node_head(n));
+  for (WaterNetwork::PipeId p = 0; p < net.pipe_count(); ++p)
+    mix(net.pipe_flow(p));
+  return h;
+}
+
+// The diurnal-dma workload's network sequence: a cold solve at the pattern's
+// t = 0, then one solve per 0.25 s epoch for 20 epochs of an 8 s day, each
+// warm-started from the last. Returns how many solves converged.
+int run_diurnal_epochs(WaterNetwork& net) {
+  std::vector<double> base(net.node_count());
+  for (WaterNetwork::NodeId n = 0; n < net.node_count(); ++n)
+    base[n] = net.node_demand(n);
+  const auto pattern = fleet::diurnal_demand_pattern(util::Seconds{8.0});
+  const auto apply = [&](double factor) {
+    for (WaterNetwork::NodeId n = 0; n < net.node_count(); ++n)
+      if (!net.node_is_reservoir(n)) net.set_demand(n, base[n] * factor);
+  };
+  apply(pattern.at(util::Seconds{0.0}));
+  int converged = net.solve() ? 1 : 0;
+  for (int epoch = 0; epoch < 20; ++epoch) {
+    apply(pattern.at(util::Seconds{0.25 * epoch}));
+    converged += net.solve() ? 1 : 0;
+  }
+  return converged;
+}
+
+// Pins the 1024-unknown district bit for bit. The constants were computed
+// with the dense solver, before the nodal solve went sparse.
+TEST(WaterNetwork, DistrictDiurnalSolvesMatchThePinnedHash) {
+  WaterNetwork net = replicated_district(32);
+  EXPECT_EQ(run_diurnal_epochs(net), 21);
+  EXPECT_EQ(solution_hash(net), 0xaca1d0824e956cc5ull);
+}
+
+TEST(WaterNetwork, DistrictWithClosedPipeAndLeakMatchesThePinnedHash) {
+  WaterNetwork net = replicated_district(32);
+  net.set_pipe_open(8, false);  // the first chain's last pipe: a dead end
+  net.set_leak(45, 2e-4);       // a junction of the second replica
+  EXPECT_EQ(run_diurnal_epochs(net), 21);
+  EXPECT_EQ(net.node_pressure_head(9), 0.0);  // isolated behind the valve
+  EXPECT_GT(net.leak_flow(45), 0.0);
+  EXPECT_EQ(solution_hash(net), 0xa4d85e914ab29135ull);
 }
 
 }  // namespace

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <optional>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace aqua::util {
 namespace {
@@ -47,6 +52,166 @@ TEST(SolveLinear, PivotsOnZeroDiagonal) {
 TEST(SolveLinear, ThrowsOnSingular) {
   EXPECT_THROW((void)solve_linear({1.0, 2.0, 2.0, 4.0}, {1.0, 2.0}),
                std::invalid_argument);
+}
+
+// x from solve_linear, or nullopt where it throws invalid_argument.
+std::optional<std::vector<double>> dense_solution(const std::vector<double>& a,
+                                                  const std::vector<double>& b) {
+  try {
+    return solve_linear(a, b);
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;
+  }
+}
+
+// x from a SparseSystem storing A's nonzeros plus `extra` entries, or
+// nullopt where it throws invalid_argument.
+std::optional<std::vector<double>> sparse_solution(
+    std::size_t n, const std::vector<double>& a, std::vector<double> b,
+    const std::vector<SparseSystem::Entry>& extra) {
+  std::vector<SparseSystem::Entry> entries = extra;
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t c = 0; c < n; ++c)
+      if (a[r * n + c] != 0.0) entries.push_back({r, c});
+  SparseSystem sys{n, entries};
+  for (const auto& [r, c] : entries) sys.values()[sys.slot(r, c)] = a[r * n + c];
+  try {
+    sys.solve(b);
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;
+  }
+  return b;
+}
+
+std::vector<std::uint64_t> bits(const std::vector<double>& x) {
+  std::vector<std::uint64_t> out;
+  for (const double v : x) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+enum class Kind { kLaplacian, kPivoting, kCancellingFill, kSingular };
+
+// One seeded system of the given kind. Entries are finite and never -0.0.
+std::vector<double> random_matrix(Kind kind, std::size_t n, Rng& rng) {
+  std::vector<double> a(n * n, 0.0);
+  const auto at = [&](std::size_t r, std::size_t c) -> double& {
+    return a[r * n + c];
+  };
+  const auto pick = [&](std::size_t m) {
+    return static_cast<std::size_t>(rng.next_u64() % m);
+  };
+  switch (kind) {
+    case Kind::kLaplacian:  // the nodal matrix: conductances + reservoirs
+      for (std::size_t r = 0; r < n; ++r) {
+        at(r, r) += rng.uniform(0.01, 1.0);
+        for (std::size_t c = r + 1; c < n; ++c) {
+          if (rng.uniform() > 3.0 / static_cast<double>(n)) continue;
+          const double g = rng.uniform(0.1, 10.0);
+          at(r, r) += g;
+          at(c, c) += g;
+          at(r, c) -= g;
+          at(c, r) -= g;
+        }
+      }
+      break;
+    case Kind::kPivoting:  // no dominance; half the diagonals are zero
+    case Kind::kSingular:
+      for (std::size_t r = 0; r < n; ++r) {
+        if (rng.uniform() < 0.5) at(r, r) = rng.uniform(-1.0, 1.0);
+        for (std::size_t c = 0; c < n; ++c)
+          if (c != r && rng.uniform() < 0.2) at(r, c) = rng.uniform(-4.0, 4.0);
+      }
+      if (kind == Kind::kSingular && n > 1) {
+        const std::size_t src = pick(n);
+        const std::size_t dst = (src + 1 + pick(n - 1)) % n;
+        for (std::size_t c = 0; c < n; ++c) at(dst, c) = at(src, c);
+      } else if (kind == Kind::kSingular) {
+        at(0, 0) = 0.0;
+      }
+      break;
+    case Kind::kCancellingFill: {
+      // [I C'; C E]-shaped: eliminating the identity block adds -0.5·(+1)
+      // and -0.5·(-1) to the same entry of the lower block, which A does
+      // not hold, so that fill cancels to exactly +0.0.
+      const std::size_t m = n / 2;
+      for (std::size_t r = 0; r < m; ++r) at(r, r) = 1.0;
+      for (std::size_t r = m; r < n; ++r) {
+        at(r, r) = rng.uniform(3.0, 5.0);
+        if (m < 2) continue;
+        const std::size_t k1 = pick(m);
+        const std::size_t k2 = (k1 + 1 + pick(m - 1)) % m;
+        std::size_t c = m + pick(n - m);
+        if (c == r) c = m + (c - m + 1) % (n - m);
+        if (c == r) continue;
+        at(r, k1) = 0.5;
+        at(r, k2) = 0.5;
+        at(k1, c) = 1.0;
+        at(k2, c) = -1.0;
+      }
+      for (std::size_t e = 0; e < n; ++e) {  // a little unstructured noise
+        const std::size_t r = pick(n), c = pick(n);
+        if (r != c && at(r, c) == 0.0 && r >= m && c >= m)
+          at(r, c) = rng.uniform(-0.5, 0.5);
+      }
+      break;
+    }
+  }
+  return a;
+}
+
+TEST(SparseSystem, MatchesSolveLinearBitForBit) {
+  constexpr Kind kKinds[] = {Kind::kLaplacian, Kind::kPivoting,
+                             Kind::kCancellingFill, Kind::kSingular};
+  Rng rng{2008};
+  int solved = 0, singular = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const Kind kind = kKinds[trial % 4];
+    const std::size_t n = 1 + static_cast<std::size_t>(rng.next_u64() % 48);
+    const std::vector<double> a = random_matrix(kind, n, rng);
+    std::vector<double> b(n);
+    for (double& v : b) v = rng.uniform(-10.0, 10.0);
+    // Every other system also stores a few entries that stay zero.
+    std::vector<SparseSystem::Entry> extra;
+    for (std::size_t e = 0; trial % 2 == 1 && e < n; ++e)
+      extra.push_back({rng.next_u64() % n, rng.next_u64() % n});
+
+    const auto dense = dense_solution(a, b);
+    const auto sparse = sparse_solution(n, a, b, extra);
+    SCOPED_TRACE(::testing::Message() << "trial " << trial << ", n = " << n);
+    ASSERT_EQ(dense.has_value(), sparse.has_value());
+    if (kind == Kind::kSingular) {
+      EXPECT_FALSE(dense.has_value());
+    }
+    if (!dense) {
+      ++singular;
+      continue;
+    }
+    ++solved;
+    EXPECT_EQ(bits(*dense), bits(*sparse));
+  }
+  EXPECT_GE(solved, 380);  // the pivoting kind is sometimes singular too
+  EXPECT_GE(singular, 150);
+}
+
+TEST(SparseSystem, StoresTheStructureAndItsFillOnly) {
+  // A tridiagonal system: each step's candidates are rows k and k+1, so a
+  // row stores one entry left of the diagonal and three on or right of it.
+  constexpr std::size_t n = 1000;
+  std::vector<SparseSystem::Entry> entries;
+  for (std::size_t r = 0; r + 1 < n; ++r) {
+    entries.push_back({r, r + 1});
+    entries.push_back({r + 1, r});
+  }
+  SparseSystem sys{n, entries};
+  EXPECT_LE(sys.stored(), 4 * n);
+  EXPECT_EQ(sys.size(), n);
+  EXPECT_NO_THROW((void)sys.slot(5, 7));  // fill from a possible row swap
+  EXPECT_THROW((void)sys.slot(5, 9), std::out_of_range);
+  EXPECT_THROW((void)sys.slot(n, 0), std::out_of_range);
+  const std::vector<SparseSystem::Entry> bad{{0, n}};
+  EXPECT_THROW((SparseSystem{n, bad}), std::invalid_argument);
+  std::vector<double> wrong_size(n + 1, 1.0);
+  EXPECT_THROW(sys.solve(wrong_size), std::invalid_argument);
 }
 
 TEST(LeastSquares, RecoversLine) {
