@@ -161,10 +161,7 @@ RunResult run_once(unsigned threads) {
   const auto supervise = [&](double seconds) {
     const long long epochs =
         static_cast<long long>(std::lround(seconds / kEpochS));
-    for (long long e = 0; e < epochs; ++e) {
-      engine.step_epoch(pool.get());
-      supervisor.poll();
-    }
+    for (long long e = 0; e < epochs; ++e) supervisor.step(pool.get());
   };
   supervise(8.0);
 

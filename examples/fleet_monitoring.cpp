@@ -86,10 +86,7 @@ int main() {
   const auto run_supervised = [&](Seconds duration) {
     const long long epochs =
         static_cast<long long>(duration.value() / cfg.epoch.value() + 0.5);
-    for (long long e = 0; e < epochs; ++e) {
-      engine.step_epoch(&pool);
-      supervisor.poll();
-    }
+    for (long long e = 0; e < epochs; ++e) supervisor.step(&pool);
   };
 
   // --- a healthy compressed day --------------------------------------------

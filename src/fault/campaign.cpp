@@ -297,8 +297,7 @@ void CampaignRunner::step(util::ThreadPool* pool) {
       }
     }
   }
-  engine_.step_epoch(pool);
-  supervisor_.poll();
+  supervisor_.step(pool);
   for (std::size_t i = 0; i < engine_.size(); ++i) {
     const fleet::NodeSupervision& sup = supervisor_.supervision(i);
     if (sup.quarantine_entries > prev_quarantines_[i]) {
@@ -437,8 +436,9 @@ CampaignSummary run_campaign(fleet::FleetEngine& engine,
                              const FaultCampaign& campaign, Seconds duration,
                              util::ThreadPool* pool) {
   CampaignRunner runner{engine, supervisor, campaign, duration};
-  // Injection, supervision and outcome scans all run serially between epochs
-  // (the determinism contract); only step_epoch fans out across `pool`.
+  // Injection and outcome scans run serially between epochs; the epoch's
+  // fan-out across `pool` also runs the supervisor's due re-commissions
+  // (the determinism contract, DESIGN.md §11).
   while (!runner.done()) runner.step(pool);
   return runner.finish();
 }

@@ -7,11 +7,13 @@
 //
 // Determinism contract (DESIGN.md §11): random schedules draw event k's
 // parameters exclusively from util::Rng::stream(seed, k) — counter-based, so
-// the schedule is a pure function of (seed, k). All injector and supervisor
-// actions happen serially between FleetEngine::step_epoch calls. A campaign
-// is therefore bit-reproducible at any thread count, and a campaign that is
-// compiled in but never constructed executes zero extra floating-point
-// operations in the signal chain (all injection ports are branch-guarded).
+// the schedule is a pure function of (seed, k). The injector acts serially
+// between epochs; the supervisor's due re-commissions run inside the epoch's
+// fan-out, each right after its own sensor's advance, and its bookkeeping
+// runs serially after the epoch. A campaign is therefore bit-reproducible at
+// any thread count, and a campaign that is compiled in but never constructed
+// executes zero extra floating-point operations in the signal chain (all
+// injection ports are branch-guarded).
 #pragma once
 
 #include <cstdint>
@@ -146,9 +148,9 @@ struct CampaignSummary {
 ///   CampaignSummary summary = runner.finish();
 ///
 /// step() performs exactly one iteration of the historical run_campaign loop
-/// (inject → step_epoch → poll → outcome scan), so a runner that checkpoints
-/// after epoch k and a fresh runner restored from that image produce
-/// bit-identical summaries — the kill-and-resume contract.
+/// (inject → FleetSupervisor::step → outcome scan), so a runner that
+/// checkpoints after epoch k and a fresh runner restored from that image
+/// produce bit-identical summaries — the kill-and-resume contract.
 class CampaignRunner {
  public:
   /// The engine should already be commissioned and calibrated; `supervisor`
@@ -194,9 +196,9 @@ class CampaignRunner {
 };
 
 /// Runs `duration` of co-simulation with the campaign injected and the
-/// supervisor polling every epoch (a CampaignRunner driven to completion
-/// under one persistent worker team). The engine should already be
-/// commissioned and calibrated; `supervisor` must be bound to `engine`.
+/// supervisor stepping every epoch (a CampaignRunner driven to completion).
+/// The engine should already be commissioned and calibrated; `supervisor`
+/// must be bound to `engine`.
 CampaignSummary run_campaign(fleet::FleetEngine& engine,
                              fleet::FleetSupervisor& supervisor,
                              const FaultCampaign& campaign,

@@ -164,12 +164,27 @@ void FleetEngine::commission(Seconds settle, util::ThreadPool* pool) {
   });
 }
 
+void FleetEngine::check_sensor(std::size_t i, const char* what) const {
+  if (i >= nodes_.size())
+    throw std::out_of_range(std::string{"FleetEngine::"} + what +
+                            ": sensor " + std::to_string(i) + " of " +
+                            std::to_string(nodes_.size()));
+}
+
 isif::ChannelSelfTestResult FleetEngine::recommission(std::size_t i,
                                                       Seconds settle) {
-  AQUA_TRACE_SPAN_SIM("fleet.recommission", t_.value());
-  nodes_[i]->reboot();
-  const isif::ChannelSelfTestResult result = nodes_[i]->run_self_test();
-  nodes_[i]->commission(pipe_state_for(*nodes_[i]), settle);
+  check_sensor(i, "recommission");
+  return recommission_node(i, settle, t_.value());
+}
+
+isif::ChannelSelfTestResult FleetEngine::recommission_node(std::size_t i,
+                                                           Seconds settle,
+                                                           double sim_s) {
+  AQUA_TRACE_SPAN_SIM("fleet.recommission", sim_s);
+  SensorNode& node = *nodes_[i];
+  node.reboot();
+  const isif::ChannelSelfTestResult result = node.run_self_test();
+  node.commission(pipe_state_for(node), settle);
   return result;
 }
 
@@ -211,27 +226,57 @@ void FleetEngine::advance_sensor(std::size_t i) {
   kSensorStepWall.observe(seconds_since(t0));
 }
 
-void FleetEngine::claim_chunks(std::size_t worker) {
+void FleetEngine::claim_chunks(std::size_t worker,
+                               std::span<const std::size_t> due,
+                               Seconds settle) {
   // The span name is the one the benchmark's layer split reads as worker
   // busy time (benchmark/README.md).
   AQUA_TRACE_SPAN("team.epoch");
   const auto t0 = Clock::now();
   const std::size_t n = nodes_.size();
   const std::size_t chunk = chunk_sensors_;
-  // Relaxed is enough: the cursor only has to hand each chunk out once. The
+  // A due sensor's re-commission belongs to the epoch boundary the
+  // supervisor acts at, so its span carries the end-of-epoch time.
+  const double boundary_s = (t_ + config_.epoch).value();
+  // Relaxed is enough: the cursor only has to hand each item out once. The
   // epoch's inputs and outputs are published by the task submission and
   // the futures around this loop, not by the cursor.
   for (;;) {
-    const std::size_t begin =
-        next_chunk_.fetch_add(1, std::memory_order_relaxed) * chunk;
+    const std::size_t item =
+        next_item_.fetch_add(1, std::memory_order_relaxed);
+    // Due sensors come first: a re-commission outlasts a chunk, so starting
+    // them first keeps the epoch's tail short.
+    if (item < due.size()) {
+      advance_sensor(due[item]);
+      (void)recommission_node(due[item], settle, boundary_s);
+      continue;
+    }
+    const std::size_t begin = (item - due.size()) * chunk;
     if (begin >= n) break;
     const std::size_t end = std::min(n, begin + chunk);
-    for (std::size_t i = begin; i < end; ++i) advance_sensor(i);
+    auto skip = std::lower_bound(due.begin(), due.end(), begin);
+    for (std::size_t i = begin; i < end; ++i) {
+      if (skip != due.end() && *skip == i) {
+        ++skip;  // advanced by its own item
+        continue;
+      }
+      advance_sensor(i);
+    }
   }
   worker_busy_s_[worker] = seconds_since(t0);
 }
 
-void FleetEngine::step_epoch(util::ThreadPool* pool) {
+void FleetEngine::step_epoch(util::ThreadPool* pool,
+                             std::span<const std::size_t> due,
+                             Seconds settle) {
+  // Two items on one sensor would race, so a bad list is refused before the
+  // network or any sensor is touched.
+  for (std::size_t k = 0; k < due.size(); ++k) {
+    check_sensor(due[k], "step_epoch");
+    if (k > 0 && due[k] <= due[k - 1])
+      throw std::invalid_argument(
+          "FleetEngine::step_epoch: due sensors must be strictly increasing");
+  }
   const obs::ScopedTimer epoch_timer{kEpochWall};
   AQUA_TRACE_SPAN_SIM("fleet.epoch", t_.value());
   AQUA_TRACE_COUNTER("fleet.sim_time_s", t_.value());
@@ -247,16 +292,18 @@ void FleetEngine::step_epoch(util::ThreadPool* pool) {
   // The fan-out only reads the network, so every sensor task derives its
   // pipe state from this epoch's solution. The claim loop runs as one pool
   // task per worker, or serially on the caller, which then claims every
-  // chunk in order.
+  // item in order.
   const std::size_t workers = pool != nullptr ? pool->thread_count() : 1;
   worker_busy_s_.assign(workers, 0.0);
   chunk_sensors_ = chunk_size_for(nodes_.size(), workers);
-  next_chunk_.store(0, std::memory_order_relaxed);
+  next_item_.store(0, std::memory_order_relaxed);
   const auto t_fanout = Clock::now();
   if (pool == nullptr) {
-    claim_chunks(0);
+    claim_chunks(0, due, settle);
   } else {
-    pool->parallel_for(workers, [this](std::size_t w) { claim_chunks(w); });
+    pool->parallel_for(workers, [&](std::size_t w) {
+      claim_chunks(w, due, settle);
+    });
     const double fanout_s = seconds_since(t_fanout);
     const double busy_s =
         std::accumulate(worker_busy_s_.begin(), worker_busy_s_.end(), 0.0);
@@ -410,6 +457,7 @@ MaskedEstimates FleetEngine::latest_estimates_masked() const {
 }
 
 void FleetEngine::set_estimate_valid(std::size_t i, bool valid) {
+  check_sensor(i, "set_estimate_valid");
   estimate_valid_[i] = valid ? 1 : 0;
 }
 

@@ -22,6 +22,7 @@
 // (util::Rng::stream(root_seed, sensor_index)), and the network is solved
 // serially before the fan-out and only read during it, so every worker
 // derives a sensor's pipe state from the same frozen solution. Sensor tasks
+// (an advance, or an advance followed by that sensor's re-commission)
 // therefore commute, and the same root seed produces bit-identical
 // per-sensor traces for ANY thread count, chunk size and claim order. Which
 // worker claims which chunk depends on wall-clock timing and is explicitly
@@ -96,9 +97,11 @@ class FleetEngine {
 
   /// Field-service action on one node, the supervisor's re-commission move:
   /// reboot the electronics, run the channel self-test, re-null the direction
-  /// channel at zero flow. Serial by design — supervisor actions happen at
-  /// epoch boundaries on the caller's thread (determinism contract). Returns
-  /// the self-test result.
+  /// channel at zero flow under the current network solution. Touches node
+  /// `i` only. Returns the self-test result (also kept as the node's
+  /// last_self_test()); throws std::out_of_range if `i >= size()`. The
+  /// supervisor does not call this between epochs: it hands its due sensors
+  /// to step_epoch, which re-commissions each inside the fan-out.
   isif::ChannelSelfTestResult recommission(std::size_t i, util::Seconds settle);
 
   /// Per-sensor King's-law sweep (parallel across `pool` if given). Each die
@@ -122,11 +125,23 @@ class FleetEngine {
 
   /// Advances exactly one epoch: demand scaling, network solve, self-claimed
   /// chunked sensor execution, clock tick. run() is a loop over this. Fault
-  /// injectors and the fleet supervisor act *between* step_epoch calls on
-  /// the caller's thread, which keeps campaigns bit-reproducible at any
-  /// thread count. A non-null pool gets exactly one claiming task per
-  /// worker, and every task has finished, trace span included, on return.
-  void step_epoch(util::ThreadPool* pool = nullptr);
+  /// injectors act *between* step_epoch calls on the caller's thread, which
+  /// keeps campaigns bit-reproducible at any thread count. A non-null pool
+  /// gets exactly one claiming task per worker, and every task has finished,
+  /// trace span included, on return.
+  void step_epoch(util::ThreadPool* pool = nullptr) {
+    step_epoch(pool, {}, util::Seconds{0.0});
+  }
+
+  /// The same epoch, with every sensor in `due` re-commissioned right after
+  /// its own advance: recommission(i, settle) under this epoch's solution,
+  /// exactly as if called after step_epoch returned. Each due sensor is one
+  /// work item, claimed before any chunk (a re-commission outlasts a chunk);
+  /// chunks skip due sensors, so every sensor still advances once. `due` must
+  /// be strictly increasing and below size(): throws std::out_of_range or
+  /// std::invalid_argument before anything is touched.
+  void step_epoch(util::ThreadPool* pool, std::span<const std::size_t> due,
+                  util::Seconds settle);
 
   /// Does nothing. Kept only because existing callers still scope their
   /// pooled step_epoch loops with one; a pooled epoch holds no worker
@@ -147,8 +162,8 @@ class FleetEngine {
   [[nodiscard]] util::Seconds now() const { return t_; }
   [[nodiscard]] hydro::WaterNetwork& network() { return net_; }
   [[nodiscard]] const FleetConfig& config() const { return config_; }
-  /// Network solves that failed to converge during run() (previous solution
-  /// carried over).
+  /// Epochs whose network solve failed to converge. The sensors of such an
+  /// epoch see the solver's last, non-converged iterate (network.hpp).
   [[nodiscard]] long long solve_failures() const { return solve_failures_; }
   /// Epochs stepped since construction.
   [[nodiscard]] long long epochs() const { return epoch_index_; }
@@ -162,6 +177,7 @@ class FleetEngine {
 
   /// Marks sensor `i`'s estimate stream (in)valid. The supervisor drives this
   /// as nodes move through quarantine and recovery; all sensors start valid.
+  /// Throws std::out_of_range if `i >= size()`.
   void set_estimate_valid(std::size_t i, bool valid);
   [[nodiscard]] bool estimate_valid(std::size_t i) const {
     return estimate_valid_[i] != 0;
@@ -198,13 +214,21 @@ class FleetEngine {
   /// calibration fan-out; the epoch loop claims chunks instead).
   void dispatch(util::ThreadPool* pool,
                 const std::function<void(std::size_t)>& body);
+  /// Throws std::out_of_range naming `what` unless `i < size()`.
+  void check_sensor(std::size_t i, const char* what) const;
+  /// recommission() without the index check; `sim_s` stamps its trace span.
+  isif::ChannelSelfTestResult recommission_node(std::size_t i,
+                                                util::Seconds settle,
+                                                double sim_s);
   /// Advances sensor `i` one epoch under its pipe's state. Runs on pool
   /// workers for disjoint `i` — everything it writes is per-sensor.
   void advance_sensor(std::size_t i);
   /// The claim loop each worker of an epoch runs, inside one `team.epoch`
-  /// trace span: takes the next chunk from the epoch cursor until the fleet
-  /// is exhausted, and records how long worker `worker` was busy doing so.
-  void claim_chunks(std::size_t worker);
+  /// trace span: takes the next item from the epoch cursor — first the due
+  /// sensors (advance, then re-commission), then the chunks — until the
+  /// fleet is exhausted, and records how long worker `worker` was busy.
+  void claim_chunks(std::size_t worker, std::span<const std::size_t> due,
+                    util::Seconds settle);
 
   hydro::WaterNetwork& net_;
   FleetConfig config_;
@@ -212,10 +236,10 @@ class FleetEngine {
   std::vector<std::unique_ptr<SensorNode>> nodes_;
   std::vector<std::uint8_t> estimate_valid_;  // per sensor, 1 = in service
 
-  /// Sensors per chunk and the next unclaimed chunk of the running epoch;
-  /// both set before each fan-out.
+  /// Sensors per chunk and the next unclaimed item (a due sensor, then a
+  /// chunk) of the running epoch; both set before each fan-out.
   std::size_t chunk_sensors_ = 1;
-  std::atomic<std::size_t> next_chunk_{0};
+  std::atomic<std::size_t> next_item_{0};
   /// Busy seconds of each worker in the last epoch (disjoint slots; wall
   /// clock, scheduling telemetry only).
   std::vector<double> worker_busy_s_;

@@ -118,10 +118,11 @@ void FleetSupervisor::attempt_recommission(std::size_t i,
   ++sup.recommission_attempts;
   ++stats_.recommission_attempts;
   kRecommissions.add(1);
-  AQUA_TRACE_SPAN_SIM("fleet.recommission_attempt", engine_.now().value());
+  AQUA_TRACE_INSTANT_SIM("fleet.recommission_attempt", engine_.now().value());
 
+  // step() listed this node as due, so the epoch just run re-commissioned it.
   const isif::ChannelSelfTestResult self_test =
-      engine_.recommission(i, config_.recommission_settle);
+      engine_.node(i).last_self_test().value();
   monitors_[i].reset();  // the post-reboot loop starts a fresh history
   if (config_.require_self_test_pass && !self_test.pass) {
     ++stats_.self_test_failures;
@@ -194,6 +195,21 @@ void FleetSupervisor::load_state(state::Reader& r) {
   stats_.recommission_attempts = r.i64();
   stats_.self_test_failures = r.i64();
   polls_ = r.i64();
+}
+
+void FleetSupervisor::step(util::ThreadPool* pool) {
+  // Exactly the nodes this epoch's poll() re-commissions: quarantined, with
+  // the backoff it is about to decrement ending now and attempts left.
+  std::vector<std::size_t> due;
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    const NodeSupervision& sup = nodes_[i];
+    if (sup.state == NodeHealthState::kQuarantined &&
+        sup.backoff_remaining <= 1 &&
+        sup.recommission_attempts < config_.max_recommission_attempts)
+      due.push_back(i);
+  }
+  engine_.step_epoch(pool, due, config_.recommission_settle);
+  poll();
 }
 
 void FleetSupervisor::poll() {

@@ -13,9 +13,13 @@
 //                                                   zero-flow settle)
 //   quarantined ──(attempts exhausted)──► failed (permanent)
 //
-// Determinism contract: poll() runs serially on the caller's thread between
-// FleetEngine::step_epoch calls and draws no randomness, so a fault campaign
-// supervised by this class is bit-reproducible at any thread count.
+// Determinism contract: step() derives the epoch's due re-commissions from
+// supervisor state alone and hands them to FleetEngine::step_epoch, which runs
+// each inside the fan-out right after its sensor's own advance; a
+// re-commission touches only its own node and reads the frozen network
+// solution. The poll bookkeeping then runs serially on the caller's thread
+// and draws no randomness, so a fault campaign supervised by this class is
+// bit-reproducible at any thread count.
 #pragma once
 
 #include <cstddef>
@@ -23,6 +27,7 @@
 
 #include "core/health.hpp"
 #include "fleet/fleet.hpp"
+#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace aqua::fleet {
@@ -85,18 +90,21 @@ struct SupervisorStats {
 
 class FleetSupervisor {
  public:
-  /// The supervisor keeps a reference to the engine: it polls node traces,
-  /// flips estimate-validity flags and drives re-commissions through it.
+  /// The supervisor keeps a reference to the engine: it steps it, polls node
+  /// traces, flips estimate-validity flags and schedules re-commissions.
   explicit FleetSupervisor(FleetEngine& engine,
                            const SupervisorConfig& config = {});
 
   FleetSupervisor(const FleetSupervisor&) = delete;
   FleetSupervisor& operator=(const FleetSupervisor&) = delete;
 
-  /// One supervision pass; call after each FleetEngine::step_epoch. Assesses
-  /// every node's latest sample through its HealthMonitor, advances the state
-  /// machines and performs any due re-commission attempts — all serially.
-  void poll();
+  /// One supervised epoch, in place of FleetEngine::step_epoch: selects the
+  /// quarantined nodes whose backoff ends at this epoch (and that have
+  /// attempts left), steps the engine with them as its due re-commissions
+  /// (parallel across `pool` if given), then assesses every node's latest
+  /// sample through its HealthMonitor and advances the state machines
+  /// serially, reading each re-commission's outcome from last_self_test().
+  void step(util::ThreadPool* pool = nullptr);
 
   [[nodiscard]] const NodeSupervision& supervision(std::size_t i) const {
     return nodes_[i];
@@ -119,6 +127,8 @@ class FleetSupervisor {
   void load_state(state::Reader& r);
 
  private:
+  /// The bookkeeping half of step(), after the engine's epoch.
+  void poll();
   void enter_quarantine(std::size_t i, NodeSupervision& sup);
   void attempt_recommission(std::size_t i, NodeSupervision& sup);
 

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -339,6 +340,30 @@ TEST(FaultCampaignEndToEnd, SerialAndParallelCampaignsAreBitIdentical) {
   EXPECT_EQ(serial_states, parallel_states);
 }
 
+// 64-bit FNV-1a over a string's bytes.
+std::uint64_t fnv1a(std::string_view text) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// The scripted campaign's committed bits, serially and on 8 threads. They
+// were recorded when every re-commission still ran serially after its epoch;
+// the campaign runs re-commissions that recover (watchdog, stuck bits) and
+// ones that exhaust their attempts (membrane, moisture), so moving any of
+// them into the epoch fan-out must reproduce the trace and the summary
+// byte for byte.
+TEST(FaultCampaignEndToEnd, ScriptedCampaignReproducesTheCommittedBits) {
+  for (const unsigned threads : {0u, 8u}) {
+    const CampaignSummary s = run_scripted(threads, Seconds{20.0});
+    EXPECT_EQ(s.trace_checksum, 0x3c42cff2ad82d526ull) << threads;
+    EXPECT_EQ(fnv1a(s.to_json()), 0x9fa80496c29cae19ull) << threads;
+  }
+}
+
 TEST(FaultCampaignEndToEnd, MaskedLocalizationSurvivesQuarantines) {
   District d = make_district();
   fleet::FleetEngine engine(d.net, d.placements, make_config());
@@ -362,10 +387,7 @@ TEST(FaultCampaignEndToEnd, MaskedLocalizationSurvivesQuarantines) {
 
   // Spring a leak at a junction the surviving sensors still observe.
   d.net.set_leak(d.n2, 1e-3);
-  for (int e = 0; e < 16; ++e) {
-    engine.step_epoch();
-    supervisor.poll();
-  }
+  for (int e = 0; e < 16; ++e) supervisor.step();
 
   const fleet::MaskedEstimates masked = engine.latest_estimates_masked();
   EXPECT_EQ(masked.valid_count(), engine.size() - 2);

@@ -1,16 +1,21 @@
 // Functional tests of the fleet engine: calibrated sensors track the network
-// ground truth, the diurnal pattern modulates what they see, and the
+// ground truth, the diurnal pattern modulates what they see, the
 // mass-balance report localizes a leak to the right junction (paper §6's
-// "immediately localized and isolated" vision).
+// "immediately localized and isolated" vision), per-sensor calls refuse bad
+// indices, and a due re-commission inside the epoch matches one after it.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/rig.hpp"
 #include "fleet/fleet.hpp"
+#include "obs/metrics.hpp"
+#include "state/serial.hpp"
 #include "util/thread_pool.hpp"
 
 namespace aqua::fleet {
@@ -200,6 +205,115 @@ TEST(FleetEngine, ThrowsOnOutOfRangePlacement) {
   d.placements.push_back(SensorPlacement{99, 0.0});
   FleetConfig cfg = make_config();
   EXPECT_THROW(FleetEngine(d.net, d.placements, cfg), std::out_of_range);
+}
+
+// --- per-sensor calls and due re-commissions ----------------------------------
+
+// Every sensor's save_state image, in sensor order.
+std::vector<std::vector<std::uint8_t>> node_images(const FleetEngine& engine) {
+  std::vector<std::vector<std::uint8_t>> images;
+  for (std::size_t i = 0; i < engine.size(); ++i) {
+    state::Writer w;
+    engine.node(i).save_state(w);
+    images.push_back(w.take());
+  }
+  return images;
+}
+
+std::uint64_t sensor_steps() {
+  for (const auto& c : obs::Registry::instance().snapshot().counters)
+    if (c.name == "fleet.sensor_steps") return c.value;
+  return 0;
+}
+
+// A commissioned engine one epoch into its run.
+struct Warm {
+  District d = make_small_district();
+  FleetEngine engine{d.net, d.placements, make_config()};
+
+  Warm() {
+    engine.set_shared_fit(cta::KingFit{0.9, 1.1, 0.5});
+    engine.commission(Seconds{0.25});
+    engine.step_epoch();
+  }
+};
+
+TEST(FleetEngine, RejectsOutOfRangeSensorIndex) {
+  Warm w;
+  FleetEngine& engine = w.engine;
+  const std::vector<std::vector<std::uint8_t>> before = node_images(engine);
+  EXPECT_THROW((void)engine.recommission(engine.size(), Seconds{0.1}),
+               std::out_of_range);
+  EXPECT_THROW(engine.set_estimate_valid(engine.size(), false),
+               std::out_of_range);
+  EXPECT_EQ(node_images(engine), before);
+  EXPECT_EQ(engine.latest_estimates_masked().valid_count(), engine.size());
+}
+
+// A due list with an index out of range, a duplicate (two tasks on one node,
+// a data race) or out of order is refused before the epoch touches the
+// network or any sensor, serially and on a pool.
+TEST(FleetEngine, RejectsBadDueListsBeforeTouchingAnySensor) {
+  Warm w;
+  FleetEngine& engine = w.engine;
+  const std::vector<std::vector<std::uint8_t>> before = node_images(engine);
+  const std::size_t n = engine.size();
+  util::ThreadPool pool{2};
+  for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    const std::vector<std::size_t> out_of_range{1, n};
+    EXPECT_THROW(engine.step_epoch(p, out_of_range, Seconds{0.1}),
+                 std::out_of_range);
+    EXPECT_EQ(node_images(engine), before);
+    const std::vector<std::size_t> duplicate{2, 2};
+    EXPECT_THROW(engine.step_epoch(p, duplicate, Seconds{0.1}),
+                 std::invalid_argument);
+    EXPECT_EQ(node_images(engine), before);
+    const std::vector<std::size_t> unsorted{3, 1};
+    EXPECT_THROW(engine.step_epoch(p, unsorted, Seconds{0.1}),
+                 std::invalid_argument);
+    EXPECT_EQ(node_images(engine), before);
+  }
+  EXPECT_EQ(engine.epochs(), 1);
+  EXPECT_EQ(engine.now().value(), 0.25);
+}
+
+// step_epoch(pool, {i, j}, settle) re-commissions inside the fan-out, right
+// after each due sensor's advance. It must leave every node exactly as
+// step_epoch(pool) followed by recommission(i) and recommission(j) does, and
+// still advance every sensor exactly once.
+TEST(FleetEngine, DueRecommissionsMatchRecommissionAfterTheEpoch) {
+  constexpr Seconds kSettle{0.2};
+  const std::vector<std::size_t> due{1, 3};
+  for (const unsigned threads : {0u, 1u, 4u}) {
+    std::unique_ptr<util::ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
+    Warm fused;
+    Warm twin;
+    // Give the reboot something to clear: a latched watchdog on sensor 1.
+    for (Warm* w : {&fused, &twin})
+      w->engine.node(1).anemometer().platform().firmware()
+          .inject_overrun_cycles(1e6);
+
+    const std::uint64_t steps_before = sensor_steps();
+    fused.engine.step_epoch(pool.get(), due, kSettle);
+    EXPECT_EQ(sensor_steps() - steps_before, fused.engine.size())
+        << threads << " threads";
+
+    twin.engine.step_epoch(pool.get());
+    std::vector<isif::ChannelSelfTestResult> expected;
+    for (const std::size_t i : due)
+      expected.push_back(twin.engine.recommission(i, kSettle));
+
+    EXPECT_EQ(node_images(fused.engine), node_images(twin.engine))
+        << threads << " threads";
+    for (std::size_t k = 0; k < due.size(); ++k) {
+      const auto& got = fused.engine.node(due[k]).last_self_test();
+      ASSERT_TRUE(got.has_value());
+      EXPECT_EQ(got->measured_gain, expected[k].measured_gain);
+      EXPECT_EQ(got->gain_error, expected[k].gain_error);
+      EXPECT_EQ(got->pass, expected[k].pass);
+    }
+  }
 }
 
 }  // namespace

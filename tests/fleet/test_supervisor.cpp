@@ -63,10 +63,7 @@ struct Rig {
   FleetSupervisor& supervisor() { return *supervisor_; }
 
   void step(int epochs) {
-    for (int e = 0; e < epochs; ++e) {
-      engine.step_epoch();
-      supervisor_->poll();
-    }
+    for (int e = 0; e < epochs; ++e) supervisor_->step();
   }
 };
 
@@ -80,13 +77,6 @@ TEST(FleetSupervisor, HealthyFleetStaysInService) {
   EXPECT_EQ(rig.supervisor().in_service_count(), rig.engine.size());
   EXPECT_EQ(rig.supervisor().stats().quarantines, 0);
   EXPECT_EQ(rig.supervisor().stats().recommission_attempts, 0);
-}
-
-TEST(FleetSupervisor, PollBeforeFirstEpochIsBenign) {
-  Rig rig;
-  rig.supervisor().poll();  // no sample yet — must not fault anything
-  EXPECT_EQ(rig.supervisor().count_in(NodeHealthState::kHealthy),
-            rig.engine.size());
 }
 
 TEST(FleetSupervisor, HardFaultQuarantinesImmediately) {
