@@ -112,20 +112,6 @@ void BM_ChannelFrame(benchmark::State& state) {
 }
 BENCHMARK(BM_ChannelFrame);
 
-void BM_ThermalNetworkStep(benchmark::State& state) {
-  maf::MafDie die{maf::MafSpec{}};
-  maf::Environment env;
-  env.speed = util::metres_per_second(1.0);
-  die.set_heater_powers(util::milliwatts(5.0), util::milliwatts(5.0),
-                        util::milliwatts(1.0));
-  for (auto _ : state) {
-    die.step(util::Seconds{4e-6}, env);
-    benchmark::DoNotOptimize(die.heater_a_resistance());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ThermalNetworkStep);
-
 void BM_FullAnemometerFrame(benchmark::State& state) {
   util::Rng rng{3};
   cta::CtaAnemometer anemo{maf::MafSpec{}, cta::fast_isif_config(),
@@ -141,6 +127,28 @@ void BM_FullAnemometerFrame(benchmark::State& state) {
 }
 BENCHMARK(BM_FullAnemometerFrame);
 
+// The frame every fleet workload pays: coarse ISIF (16 kHz, 8 ticks per
+// frame) at a night-flow speed, a new speed each frame as turbulence gives
+// it. items_per_second counts modulator ticks.
+void BM_CoarseAnemometerFrame(benchmark::State& state) {
+  util::Rng rng{3};
+  cta::CtaAnemometer anemo{maf::MafSpec{}, cta::coarse_isif_config(),
+                           cta::CtaConfig{}, rng};
+  maf::Environment env;
+  const int frame = anemo.platform().config().channel.decimation;
+  double wobble = 0.0;
+  for (auto _ : state) {
+    wobble = wobble > 0.004 ? 0.0 : wobble + 0.001;
+    env.speed = util::metres_per_second(0.2 + wobble);
+    anemo.tick_frame(env);
+    benchmark::DoNotOptimize(anemo.bridge_voltage());
+  }
+  state.SetItemsProcessed(state.iterations() * frame);
+}
+BENCHMARK(BM_CoarseAnemometerFrame);
+
+// One die step at a fixed environment, computing its environment-only terms
+// each step as the die's other callers do.
 void BM_MafDieStep(benchmark::State& state) {
   maf::MafDie die{maf::MafSpec{}};
   maf::Environment env;
@@ -151,6 +159,7 @@ void BM_MafDieStep(benchmark::State& state) {
     die.step(util::Seconds{4e-6}, env);
     benchmark::DoNotOptimize(die.heater_a_resistance());
   }
+  state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MafDieStep);
 

@@ -10,7 +10,6 @@
 namespace aqua::analog {
 
 using util::Rng;
-using util::Seconds;
 using util::Volts;
 
 ThermometerDac::ThermometerDac(const ThermometerDacSpec& spec, Rng rng)
@@ -56,8 +55,8 @@ void ThermometerDac::write_voltage(Volts v) {
   write_code(static_cast<int>(std::lround(frac * max_code())));
 }
 
-Volts ThermometerDac::step(Seconds dt) {
-  return Volts{buffer_.step(static_output().value(), dt)};
+Volts ThermometerDac::step_with_decay(double decay) {
+  return Volts{buffer_.step_with_decay(static_output().value(), decay)};
 }
 
 void ThermometerDac::reset() {

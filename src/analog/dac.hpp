@@ -41,7 +41,16 @@ class ThermometerDac {
   void write_voltage(util::Volts v);
 
   /// Advances the output buffer by dt and returns the settled output voltage.
-  util::Volts step(util::Seconds dt);
+  util::Volts step(util::Seconds dt) {
+    return step_with_decay(settling_decay(dt));
+  }
+  /// The output buffer's settling factor for a step of dt.
+  [[nodiscard]] double settling_decay(util::Seconds dt) const {
+    return buffer_.decay(dt);
+  }
+  /// step(dt) with `decay` == settling_decay(dt) supplied, for a caller that
+  /// steps one dt many times.
+  util::Volts step_with_decay(double decay);
 
   /// Returns to the post-construction state: code 0, buffer discharged. The
   /// element-mismatch draw is a part property and survives reset (drawn or

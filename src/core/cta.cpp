@@ -8,6 +8,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "phys/resistor.hpp"
+#include "util/math.hpp"
 
 namespace aqua::cta {
 
@@ -123,12 +124,18 @@ Hertz CtaAnemometer::control_rate() const {
                isif_.config().channel.decimation};
 }
 
-CtaAnemometer::BridgeDifferentials CtaAnemometer::step_plant(
+CtaAnemometer::PlantTerms CtaAnemometer::plant_terms(
     const maf::Environment& env) {
   const Seconds dt = tick_period();
-  t_ += dt;
-  package_.step(dt, env.pressure);
-  const Volts supply = isif_.dac(0).update(dt);
+  return PlantTerms{dt, package_.ingress_rate(env.pressure),
+                    isif_.dac(0).settling_decay(dt), die_.step_terms(env)};
+}
+
+CtaAnemometer::BridgeDifferentials CtaAnemometer::step_plant(
+    const maf::Environment& env, const PlantTerms& terms) {
+  t_ += terms.dt;
+  package_.step(terms.dt, terms.ingress_rate);
+  const Volts supply = isif_.dac(0).update_with_decay(terms.supply_decay);
 
   // Both half-bridge pairs share the supply and the interdigitated reference.
   const analog::BridgeArms arms_a{top_a_, die_.heater_a_resistance(),
@@ -142,7 +149,7 @@ CtaAnemometer::BridgeDifferentials CtaAnemometer::step_plant(
 
   die_.set_heater_powers(sol_a.p_bot_a, sol_b.p_bot_a,
                          sol_a.p_bot_b + sol_b.p_bot_b);
-  die_.step(dt, env);
+  die_.step(terms.dt, env, terms.die);
   return {sol_a.differential, sol_b.differential};
 }
 
@@ -162,7 +169,7 @@ void CtaAnemometer::end_frame(const isif::ChannelSample& sample_a) {
 
 void CtaAnemometer::tick(const maf::Environment& env) {
   if (++tick_phase_ >= isif_.config().channel.decimation) tick_phase_ = 0;
-  const BridgeDifferentials diff = step_plant(env);
+  const BridgeDifferentials diff = step_plant(env, plant_terms(env));
   const auto sample_a = isif_.channel(0).tick(diff.a, env.fluid_temperature);
   const auto sample_b = isif_.channel(1).tick(diff.b, env.fluid_temperature);
   if (sample_b) pending_dir_code_ = sample_b->value;
@@ -180,9 +187,12 @@ void CtaAnemometer::tick_frame(const maf::Environment& env) {
   // in this loop reads channel or firmware state, and the firmware only acts
   // at the frame boundary — which is why deferring the chain to one block per
   // channel reproduces the scalar interleaving bit-for-bit (DESIGN.md §9).
+  // The environment-only terms are the same value at every tick of the
+  // frame, so they are computed once.
+  const PlantTerms terms = plant_terms(env);
   const std::size_t frame = frame_diff_a_.size();
   for (std::size_t i = 0; i < frame; ++i) {
-    const BridgeDifferentials diff = step_plant(env);
+    const BridgeDifferentials diff = step_plant(env, terms);
     frame_diff_a_[i] = diff.a.value();
     frame_diff_b_[i] = diff.b.value();
   }
@@ -242,8 +252,7 @@ void CtaAnemometer::control_update() {
 
 void CtaAnemometer::run(Seconds duration, const maf::Environment& env) {
   AQUA_TRACE_SPAN_SIM("cta.run", t_.value());
-  const long long n =
-      static_cast<long long>(std::ceil(duration.value() / tick_period().value()));
+  const long long n = util::steps_to_cover(duration, tick_period());
   const long long frame = isif_.config().channel.decimation;
   long long i = 0;
   // Scalar ticks up to the next frame boundary, whole frames through the

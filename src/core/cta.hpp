@@ -98,11 +98,12 @@ class CtaAnemometer {
   void tick(const maf::Environment& env);
 
   /// Block execution: advances one full decimation frame (`decimation`
-  /// modulator ticks) under a constant environment. The per-tick physics
-  /// (DAC settling, bridge solve, die thermal step) runs exactly as in
-  /// tick(), staging the bridge differentials into per-loop scratch buffers;
-  /// both channels then process the frame in one block each, and the
-  /// firmware runs at the frame boundary — where the scalar path runs it
+  /// modulator ticks) under a constant environment. The plant's
+  /// environment-only terms are computed once for the frame; the per-tick
+  /// physics (DAC settling, bridge solve, die thermal step) runs exactly as
+  /// in tick(), staging the bridge differentials into per-loop scratch
+  /// buffers; both channels then process the frame in one block each, and
+  /// the firmware runs at the frame boundary — where the scalar path runs it
   /// too. Bit-identical to `decimation` tick() calls. Requires frame
   /// alignment (tick_phase() == 0); throws std::logic_error otherwise.
   void tick_frame(const maf::Environment& env);
@@ -187,11 +188,23 @@ class CtaAnemometer {
   struct BridgeDifferentials {
     util::Volts a, b;
   };
+  /// The terms of step_plant that depend only on the environment, the tick
+  /// period or a part constant. tick() computes them every tick and
+  /// tick_frame() once per frame, with the same code (DESIGN.md §9).
+  struct PlantTerms {
+    util::Seconds dt;
+    double ingress_rate;  // maf::Package::ingress_rate
+    double supply_decay;  // supply DAC settling factor for dt
+    maf::MafDie::StepTerms die;
+  };
+  PlantTerms plant_terms(const maf::Environment& env);
   /// One modulator tick of the plant, the physics tick() and tick_frame()
   /// share: advances time, package and supply DAC, solves both bridges,
-  /// feeds their Joule powers to the die and steps it. Returns the bridge
-  /// differentials the two channels sample this tick.
-  BridgeDifferentials step_plant(const maf::Environment& env);
+  /// feeds their Joule powers to the die and steps it. `terms` must be
+  /// plant_terms(env). Returns the bridge differentials the two channels
+  /// sample this tick.
+  BridgeDifferentials step_plant(const maf::Environment& env,
+                                 const PlantTerms& terms);
   /// Frame boundary, shared by tick() and tick_frame() so both record
   /// identical histories: latches the measurement channel's decimated sample
   /// into the firmware inputs, notes overload edges in the blackbox and runs

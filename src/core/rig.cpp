@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "hydro/profiles.hpp"
+#include "util/math.hpp"
 
 namespace aqua::cta {
 
@@ -60,8 +61,7 @@ void VinciRig::commission(Seconds settle) {
 
 void VinciRig::run(Seconds duration) {
   const Seconds tc = control_period();
-  const long long blocks =
-      static_cast<long long>(std::ceil(duration.value() / tc.value()));
+  const long long blocks = util::steps_to_cover(duration, tc);
   const int ticks_per_block = config_.isif.channel.decimation;
   for (long long b = 0; b < blocks; ++b) {
     line_.step(tc);
@@ -82,8 +82,7 @@ double VinciRig::profile_factor_at(MetresPerSecond mean) const {
 double VinciRig::settled_voltage(const maf::Environment& env, Seconds dwell,
                                  double trailing_fraction) {
   const Seconds tick = anemometer_->tick_period();
-  const long long n =
-      static_cast<long long>(std::ceil(dwell.value() / tick.value()));
+  const long long n = util::steps_to_cover(dwell, tick);
   const long long tail_start =
       n - static_cast<long long>(trailing_fraction * static_cast<double>(n));
   double acc = 0.0;

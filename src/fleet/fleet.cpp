@@ -12,6 +12,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "phys/fluid.hpp"
+#include "util/math.hpp"
 
 namespace aqua::fleet {
 
@@ -207,11 +208,7 @@ void FleetEngine::run(Seconds duration, util::ThreadPool* pool) {
 }
 
 long long FleetEngine::epochs_for(Seconds duration) const {
-  const double epochs = duration.value() / config_.epoch.value();
-  const double nearest = std::round(epochs);
-  if (std::abs(epochs - nearest) <= 1e-9 * nearest)
-    return static_cast<long long>(nearest);
-  return static_cast<long long>(std::ceil(epochs));
+  return util::steps_to_cover(duration, config_.epoch);
 }
 
 void FleetEngine::advance_sensor(std::size_t i) {

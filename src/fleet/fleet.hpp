@@ -118,9 +118,8 @@ class FleetEngine {
   /// either way.
   void run(util::Seconds duration, util::ThreadPool* pool = nullptr);
 
-  /// Epochs in `duration`: the nearest whole number when the quotient is
-  /// within 1e-9 (relative) of it, so 0.14 s of 0.02 s epochs is 7, not the
-  /// 8 that ceil(7.000000000000001) gives; otherwise rounded up.
+  /// Epochs in `duration`, by util::steps_to_cover: 0.14 s of 0.02 s epochs
+  /// is 7, not the 8 that ceil(7.000000000000001) gives.
   [[nodiscard]] long long epochs_for(util::Seconds duration) const;
 
   /// Advances exactly one epoch: demand scaling, network solve, self-claimed

@@ -6,6 +6,7 @@
 #include "hydro/profiles.hpp"
 #include "phys/fluid.hpp"
 #include "state/rng_io.hpp"
+#include "util/math.hpp"
 
 namespace aqua::fleet {
 
@@ -67,8 +68,7 @@ void SensorNode::commission(const PipeState& state, Seconds settle) {
 double SensorNode::settled_voltage(const maf::Environment& env,
                                    Seconds dwell) {
   const Seconds tick = anemometer_.tick_period();
-  const long long n =
-      static_cast<long long>(std::ceil(dwell.value() / tick.value()));
+  const long long n = util::steps_to_cover(dwell, tick);
   const long long tail_start = n - static_cast<long long>(0.4 * n);
   double acc = 0.0;
   long long count = 0;
@@ -109,8 +109,7 @@ void SensorNode::advance(const PipeState& state, Seconds duration) {
   const int ticks_per_block = config_.isif.channel.decimation;
   const Seconds tc{ticks_per_block /
                    config_.isif.channel.modulator_clock.value()};
-  const long long blocks =
-      static_cast<long long>(std::ceil(duration.value() / tc.value()));
+  const long long blocks = util::steps_to_cover(duration, tc);
   // AR(1) turbulence refreshed at the control rate, like the station line.
   const double a =
       std::exp(-tc.value() / config_.turbulence_correlation.value());

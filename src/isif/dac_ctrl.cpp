@@ -6,7 +6,6 @@
 
 namespace aqua::isif {
 
-using util::Seconds;
 using util::Volts;
 
 DacController::DacController(const analog::ThermometerDacSpec& spec,
@@ -36,14 +35,14 @@ void DacController::set_supply_droop(double factor) {
   droop_ = factor;
 }
 
-Volts DacController::update(Seconds dt) {
+Volts DacController::update_with_decay(double decay) {
   int next = target_;
   if (max_step_ > 0) {
     const int delta = std::clamp(target_ - dac_.code(), -max_step_, max_step_);
     next = dac_.code() + delta;
   }
   dac_.write_code(next);
-  const Volts out = dac_.step(dt);
+  const Volts out = dac_.step_with_decay(decay);
   if (droop_ != 1.0) return Volts{out.value() * droop_};
   return out;
 }

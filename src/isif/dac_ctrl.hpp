@@ -22,7 +22,16 @@ class DacController {
 
   /// One control-rate update (applies slew limiting), then `dt` of analog
   /// settling; returns the DAC output voltage.
-  util::Volts update(util::Seconds dt);
+  util::Volts update(util::Seconds dt) {
+    return update_with_decay(settling_decay(dt));
+  }
+  /// The DAC output's settling factor for an update of dt.
+  [[nodiscard]] double settling_decay(util::Seconds dt) const {
+    return dac_.settling_decay(dt);
+  }
+  /// update(dt) with `decay` == settling_decay(dt) supplied, for a caller
+  /// that updates with one dt many times.
+  util::Volts update_with_decay(double decay);
 
   /// Post-construction state: target 0 and the DAC's own reset. A supply
   /// droop (environmental, see set_supply_droop) is not cleared — a chip

@@ -113,7 +113,13 @@ double MafDie::clean_film_conductance(const Environment& env,
   return h * spec_.heater_wire.surface_area().value();
 }
 
-void MafDie::update_conductances(const Environment& env) {
+double MafDie::wake_coupling(const Environment& env) const {
+  return spec_.wake_coupling_max *
+         (1.0 - std::exp(-std::abs(env.speed.value()) /
+                         spec_.wake_velocity_scale.value()));
+}
+
+void MafDie::update_conductances(const Environment& env, double coupling) {
   const Kelvin t_a = net_.temperature(n_heater_a_);
   const Kelvin t_b = net_.temperature(n_heater_b_);
   const Kelvin t_ref = net_.temperature(n_reference_);
@@ -147,9 +153,6 @@ void MafDie::update_conductances(const Environment& env) {
   // Boundary temperatures: bulk fluid everywhere, with the downstream
   // heater's local fluid warmed by the upstream wake.
   const double v = env.speed.value();
-  const double coupling =
-      spec_.wake_coupling_max *
-      (1.0 - std::exp(-std::abs(v) / spec_.wake_velocity_scale.value()));
   double t_local_a = t_f, t_local_b = t_f;
   if (v > 0.0) {
     t_local_b = t_f + coupling * (t_a.value() - t_f);
@@ -162,21 +165,33 @@ void MafDie::update_conductances(const Environment& env) {
   net_.set_boundary_temperature(n_substrate_, env.fluid_temperature);
 }
 
-void MafDie::step(Seconds dt, const Environment& env) {
-  if (!phys::survives(spec_.membrane, env.pressure)) membrane_intact_ = false;
-  update_conductances(env);
+MafDie::StepTerms MafDie::step_terms(const Environment& env) const {
+  StepTerms terms;
+  terms.membrane_survives = phys::survives(spec_.membrane, env.pressure);
+  terms.wake_coupling = wake_coupling(env);
+  if (env.medium == phys::Medium::kWater) terms.fouling = fouling_drive(env);
+  return terms;
+}
+
+void MafDie::step(Seconds dt, const Environment& env, const StepTerms& terms) {
+  // Latched here, after the caller's set_heater_powers, never when the terms
+  // are computed: on the first step at an overpressure the bridge has
+  // already read intact heaters and injected their powers.
+  if (!terms.membrane_survives) membrane_intact_ = false;
+  update_conductances(env, terms.wake_coupling);
   net_.step(dt);
   if (env.medium == phys::Medium::kWater) {
-    fouling_a_.step(dt, net_.temperature(n_heater_a_), env);
-    fouling_b_.step(dt, net_.temperature(n_heater_b_), env);
+    fouling_a_.step(dt, net_.temperature(n_heater_a_), env, terms.fouling);
+    fouling_b_.step(dt, net_.temperature(n_heater_b_), env, terms.fouling);
   }
 }
 
 void MafDie::settle(const Environment& env) {
   // Conductances depend on the (unknown) wall temperatures; a few outer
   // fixed-point sweeps over update→settle converge quickly.
+  const double coupling = wake_coupling(env);
   for (int i = 0; i < 8; ++i) {
-    update_conductances(env);
+    update_conductances(env, coupling);
     net_.settle();
   }
 }

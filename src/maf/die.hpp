@@ -87,8 +87,27 @@ class MafDie {
                          util::Watts reference);
 
   // --- thermal dynamics ------------------------------------------------------
+  /// The terms of step() that depend only on the environment and part
+  /// constants. Values, not state: a caller that steps one environment many
+  /// times computes them once (CtaAnemometer::tick_frame, DESIGN.md §9).
+  struct StepTerms {
+    /// phys::survives at the environment's pressure. step() latches the
+    /// membrane broken when this is false.
+    bool membrane_survives = true;
+    /// Fraction of the upstream heater's overtemperature that warms the
+    /// downstream heater's local fluid.
+    double wake_coupling = 0.0;
+    /// Shared by both heaters; computed for water only.
+    FoulingDrive fouling{};
+  };
+  [[nodiscard]] StepTerms step_terms(const Environment& env) const;
+
   /// Advances the thermal and fouling state by dt under `env`.
-  void step(util::Seconds dt, const Environment& env);
+  void step(util::Seconds dt, const Environment& env) {
+    step(dt, env, step_terms(env));
+  }
+  /// The same step with `terms` == step_terms(env) supplied.
+  void step(util::Seconds dt, const Environment& env, const StepTerms& terms);
 
   /// Relaxes the thermal state to steady state under constant powers/env
   /// (fouling state is left untouched). Used by the quasi-static solver.
@@ -139,7 +158,8 @@ class MafDie {
 
  private:
   void build_network();
-  void update_conductances(const Environment& env);
+  [[nodiscard]] double wake_coupling(const Environment& env) const;
+  void update_conductances(const Environment& env, double wake_coupling);
 
   MafSpec spec_;
   phys::TcrResistor heater_a_;

@@ -9,21 +9,25 @@ using util::Kelvin;
 using util::Seconds;
 using util::SquareMetres;
 
+FoulingDrive fouling_drive(const Environment& env) {
+  return FoulingDrive{
+      phys::bubble_onset_overtemperature(env.fluid_temperature, env.pressure,
+                                         env.dissolved_gas_saturation)
+          .value(),
+      phys::scaling_drive(env.chemistry)};
+}
+
 FoulingState::FoulingState(const FoulingParameters& params) : params_(params) {}
 
 void FoulingState::step(Seconds dt, Kelvin wall_temperature,
-                        const Environment& env) {
+                        const Environment& env, const FoulingDrive& drive) {
   const double h = dt.value();
   const double overtemp =
       wall_temperature.value() - env.fluid_temperature.value();
 
   // --- Bubbles: nucleate above the outgassing/boiling onset, detach with
   // shear and buoyancy. The (1 − θ) factor limits growth to bare surface.
-  const double onset = phys::bubble_onset_overtemperature(
-                           env.fluid_temperature, env.pressure,
-                           env.dissolved_gas_saturation)
-                           .value();
-  const double excess = std::max(0.0, overtemp - onset);
+  const double excess = std::max(0.0, overtemp - drive.bubble_onset);
   const double grow = params_.nucleation_rate * excess * (1.0 - bubble_coverage_);
   const double shed =
       (params_.detachment_rate +
@@ -33,7 +37,8 @@ void FoulingState::step(Seconds dt, Kelvin wall_temperature,
 
   // --- CaCO3 deposit: inverse-solubility kinetics at the wall temperature.
   const double rate = phys::deposit_growth_rate(
-      params_.scaling, env.chemistry, wall_temperature, deposit_thickness_);
+      params_.scaling, drive.scaling_drive, wall_temperature,
+      deposit_thickness_);
   deposit_thickness_ = std::max(0.0, deposit_thickness_ + h * rate);
 }
 

@@ -24,6 +24,18 @@ struct FoulingParameters {
   phys::ScalingKinetics scaling{};
 };
 
+/// The inputs of FoulingState::step that depend only on the water: every
+/// heater and every step under one environment share them.
+struct FoulingDrive {
+  /// Wall overtemperature at which bubbles nucleate (K), from
+  /// phys::bubble_onset_overtemperature.
+  double bubble_onset = 0.0;
+  /// phys::scaling_drive of the water chemistry (mg/L as CaCO3).
+  double scaling_drive = 0.0;
+};
+
+[[nodiscard]] FoulingDrive fouling_drive(const Environment& env);
+
 /// Per-heater fouling state; integrate with step().
 class FoulingState {
  public:
@@ -31,7 +43,13 @@ class FoulingState {
 
   /// Advances bubble and deposit dynamics by dt at the given wall temperature.
   void step(util::Seconds dt, util::Kelvin wall_temperature,
-            const Environment& env);
+            const Environment& env) {
+    step(dt, wall_temperature, env, fouling_drive(env));
+  }
+  /// The same step with `drive` == fouling_drive(env) supplied, for a caller
+  /// that steps one environment many times.
+  void step(util::Seconds dt, util::Kelvin wall_temperature,
+            const Environment& env, const FoulingDrive& drive);
 
   /// Fraction of the surface blanketed by gas bubbles, in [0, 0.95].
   [[nodiscard]] double bubble_coverage() const { return bubble_coverage_; }

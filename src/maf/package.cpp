@@ -29,13 +29,17 @@ void Package::inject_moisture(double amount) {
   moisture_ = std::clamp(moisture_ + std::max(0.0, amount), 0.0, 1.0);
 }
 
-void Package::step(Seconds dt, Pascals pressure) {
-  // Moisture ingress: pressure-driven creep through whatever the seal leaves
-  // open. A perfect seal admits (almost) nothing; ingress saturates at 1.
+double Package::ingress_rate(Pascals pressure) const {
+  // Pressure-driven creep through whatever the seal leaves open. A perfect
+  // seal admits (almost) nothing.
   const double leak_path = 1.0 - spec_.sealing_quality;
   const double pressure_factor = 1.0 + util::to_bar(pressure);
-  const double ingress_rate = 2e-6 * leak_path * pressure_factor;  // 1/s
-  moisture_ = std::min(1.0, moisture_ + ingress_rate * dt.value());
+  return 2e-6 * leak_path * pressure_factor;  // 1/s
+}
+
+void Package::step(Seconds dt, double ingress) {
+  // Moisture ingress saturates at 1.
+  moisture_ = std::min(1.0, moisture_ + ingress * dt.value());
 
   // Corrosion needs moisture at the contacts; add a little stochastic
   // pitting so two "identical" bad assemblies age differently.

@@ -33,7 +33,16 @@ class Package {
 
   /// Advances moisture ingress and corrosion by dt while immersed at the
   /// given pressure.
-  void step(util::Seconds dt, util::Pascals pressure);
+  void step(util::Seconds dt, util::Pascals pressure) {
+    step(dt, ingress_rate(pressure));
+  }
+  /// The same step with `ingress` == ingress_rate(pressure) supplied, for a
+  /// caller that steps one pressure many times.
+  void step(util::Seconds dt, double ingress);
+
+  /// Moisture ingress rate (fraction per second) through the seal at the
+  /// given pressure.
+  [[nodiscard]] double ingress_rate(util::Pascals pressure) const;
 
   /// Leakage resistance from the sensor contacts to the water; drops as
   /// moisture creeps in. A healthy assembly stays in the GΩ range.

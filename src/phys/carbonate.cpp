@@ -19,23 +19,37 @@ double caco3_solubility_mg_per_l(Kelvin t) {
   return 330.0 * std::exp(-0.022 * (tc - 15.0));
 }
 
-double saturation_ratio(const WaterChemistry& chem, Kelvin wall_temperature) {
+double scaling_drive(const WaterChemistry& chem) {
   // The scaling-prone fraction of hardness is limited by carbonate
   // availability (alkalinity) and boosted/suppressed by pH around 7.5
   // (carbonate speciation), captured by a logistic factor.
   const double driving =
       std::min(chem.hardness_mg_per_l, chem.alkalinity_mg_per_l);
   const double ph_factor = 1.0 / (1.0 + std::exp(-(chem.ph - 7.0) * 2.0));
-  const double solubility = caco3_solubility_mg_per_l(wall_temperature);
-  return driving * ph_factor / solubility;
+  return driving * ph_factor;
+}
+
+double saturation_ratio(const WaterChemistry& chem, Kelvin wall_temperature) {
+  return saturation_ratio(scaling_drive(chem), wall_temperature);
+}
+
+double saturation_ratio(double drive, Kelvin wall_temperature) {
+  return drive / caco3_solubility_mg_per_l(wall_temperature);
 }
 
 double deposit_growth_rate(const ScalingKinetics& kinetics,
                            const WaterChemistry& chem, Kelvin wall_temperature,
                            double current_thickness_m) {
+  return deposit_growth_rate(kinetics, scaling_drive(chem), wall_temperature,
+                             current_thickness_m);
+}
+
+double deposit_growth_rate(const ScalingKinetics& kinetics, double drive,
+                           Kelvin wall_temperature,
+                           double current_thickness_m) {
   if (current_thickness_m < 0.0)
     throw std::invalid_argument("deposit_growth_rate: negative thickness");
-  const double s = saturation_ratio(chem, wall_temperature);
+  const double s = saturation_ratio(drive, wall_temperature);
   if (s >= 1.0) {
     // Growth slows as the deposit insulates the surface and its own outer face
     // cools: first-order saturation with a 10 µm characteristic thickness.

@@ -24,9 +24,17 @@ struct WaterChemistry {
 /// temperature and scales only on heated surfaces.
 [[nodiscard]] double caco3_solubility_mg_per_l(util::Kelvin t);
 
+/// Driving hardness (mg/L as CaCO3): the scaling-prone fraction of the
+/// hardness, limited by alkalinity and weighted by the pH speciation factor.
+/// The numerator of saturation_ratio; it does not depend on temperature.
+[[nodiscard]] double scaling_drive(const WaterChemistry& chem);
+
 /// Saturation ratio S = [driving hardness]/[solubility at wall temperature].
 /// S > 1 means the wall scales; S ≤ 1 means deposits slowly redissolve.
 [[nodiscard]] double saturation_ratio(const WaterChemistry& chem,
+                                      util::Kelvin wall_temperature);
+/// The same ratio from a precomputed scaling_drive(chem), with the same bits.
+[[nodiscard]] double saturation_ratio(double drive,
                                       util::Kelvin wall_temperature);
 
 /// Kinetics of deposit growth on a heated wall.
@@ -45,6 +53,11 @@ struct ScalingKinetics {
 /// Deposit growth rate dδ/dt (m/s) for the given state.
 [[nodiscard]] double deposit_growth_rate(const ScalingKinetics& kinetics,
                                          const WaterChemistry& chem,
+                                         util::Kelvin wall_temperature,
+                                         double current_thickness_m);
+/// The same rate from a precomputed scaling_drive(chem), with the same bits.
+[[nodiscard]] double deposit_growth_rate(const ScalingKinetics& kinetics,
+                                         double drive,
                                          util::Kelvin wall_temperature,
                                          double current_thickness_m);
 

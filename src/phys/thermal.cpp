@@ -1,7 +1,6 @@
 #include "phys/thermal.hpp"
 
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace aqua::phys {
@@ -85,10 +84,6 @@ void ThermalNetwork::set_power(NodeId n, Watts p) {
 void ThermalNetwork::step(Seconds dt) {
   ensure_adjacency();
   const std::size_t n = nodes_.size();
-  if (decay_arg_.size() != n) {
-    decay_arg_.assign(n, std::numeric_limits<double>::quiet_NaN());
-    decay_val_.assign(n, 0.0);
-  }
   new_temps_.resize(n);
 
   // Jacobi update: every node relaxes against its neighbours' temperatures
@@ -114,14 +109,8 @@ void ThermalNetwork::step(Seconds dt) {
       continue;
     }
     const double t_inf = (sum_gt + node.power) / sum_g;
-    // Memoized decay: recompute the exponential only when its exact argument
-    // changed (flow-dependent conductances); bit-identical either way.
-    const double arg = -dt.value() * sum_g / node.capacitance;
-    if (arg != decay_arg_[i]) {
-      decay_arg_[i] = arg;
-      decay_val_[i] = std::exp(arg);
-    }
-    new_temps_[i] = t_inf + (node.temperature - t_inf) * decay_val_[i];
+    const double decay = std::exp(-dt.value() * sum_g / node.capacitance);
+    new_temps_[i] = t_inf + (node.temperature - t_inf) * decay;
   }
   for (std::size_t i = 0; i < n; ++i) nodes_[i].temperature = new_temps_[i];
 }

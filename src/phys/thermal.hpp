@@ -11,7 +11,6 @@
 // coefficients, growing deposits).
 #pragma once
 
-#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -44,12 +43,7 @@ class ThermalNetwork {
   /// heating of the bridge resistors). Persists until changed.
   void set_power(NodeId n, util::Watts p);
 
-  /// Advances all capacitive nodes by dt. The per-node decay factor
-  /// exp(−dt·ΣG/C) is memoized on its exact argument: a node whose incident
-  /// conductances (and dt) are bit-identical to the previous step reuses the
-  /// cached exponential, while any change — e.g. a flow-dependent film
-  /// coefficient — recomputes it exactly. Same results either way; the cache
-  /// only skips recomputing a value that is already known.
+  /// Advances all capacitive nodes by dt.
   void step(util::Seconds dt);
 
   /// Solves the steady state (all capacitive nodes relaxed) in place. Used by
@@ -64,9 +58,8 @@ class ThermalNetwork {
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
 
   /// Checkpoint support: per-node temperature and power, per-edge
-  /// conductance. Topology, adjacency and the decay memo are not serialised —
-  /// the memo is a pure cache (exp() of the same argument recomputes to the
-  /// same bits), so a restored network replays bit-identically.
+  /// conductance. Topology and adjacency are not serialised: they are
+  /// rebuilt by construction.
   void save_state(state::Writer& w) const {
     w.size(nodes_.size());
     for (const Node& n : nodes_) {
@@ -86,11 +79,6 @@ class ThermalNetwork {
     if (r.size(8) != edges_.size())
       throw state::Error("ThermalNetwork: edge count mismatch");
     for (Edge& e : edges_) e.g = r.f64();
-    // The decay memo needs no serialising: it maps an exact argument to its
-    // exp(), so a post-restore hit returns the same bits a recompute would.
-    // Clearing it anyway keeps restored and freshly-built networks in the
-    // same (empty-cache) starting state.
-    decay_arg_.assign(decay_arg_.size(), std::nan(""));
   }
 
  private:
@@ -129,10 +117,6 @@ class ThermalNetwork {
   mutable std::vector<std::size_t> adjacency_start_;
   mutable bool adjacency_valid_ = false;
 
-  // Decay memo: exp(decay_arg_[n]) == decay_val_[n] for the last argument
-  // −dt·ΣG/C seen at node n (NaN = never computed).
-  std::vector<double> decay_arg_;
-  std::vector<double> decay_val_;
   std::vector<double> new_temps_;  // scratch: staged temperatures for step()
 };
 

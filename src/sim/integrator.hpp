@@ -36,6 +36,13 @@ class FirstOrderLag {
   /// bit-identical to step(t, dt).
   [[nodiscard]] double decay(util::Seconds dt) const;
 
+  /// step(target, dt) with its factor a == decay(dt) supplied; a ≤ 0 lands
+  /// exactly on the target.
+  double step_with_decay(double target, double a) {
+    y_ = (a <= 0.0) ? target : target + (y_ - target) * a;
+    return y_;
+  }
+
   [[nodiscard]] double value() const { return y_; }
   void reset(double value) { y_ = value; }
   void set_tau(util::Seconds tau);

@@ -271,6 +271,14 @@ double bisect(const std::function<double(double)>& f, double lo, double hi,
   return 0.5 * (lo + hi);
 }
 
+long long steps_to_cover(Seconds duration, Seconds period) {
+  const double steps = duration.value() / period.value();
+  const double nearest = std::round(steps);
+  if (std::abs(steps - nearest) <= 1e-9 * nearest)
+    return static_cast<long long>(nearest);
+  return static_cast<long long>(std::ceil(steps));
+}
+
 double remap_clamped(double x, double in_lo, double in_hi, double out_lo,
                      double out_hi) {
   const double t = std::clamp((x - in_lo) / (in_hi - in_lo), 0.0, 1.0);

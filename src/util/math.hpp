@@ -1,6 +1,7 @@
 // math.hpp — small numerical toolbox shared across modules: polynomial
 // evaluation, linear least squares (tiny dense solver), an exact sparse twin
-// of the dense solver, 1-D minimisation and root bracketing, interpolation.
+// of the dense solver, 1-D minimisation and root bracketing, interpolation,
+// step counts.
 #pragma once
 
 #include <cstddef>
@@ -8,6 +9,8 @@
 #include <span>
 #include <utility>
 #include <vector>
+
+#include "util/units.hpp"
 
 namespace aqua::util {
 
@@ -91,6 +94,13 @@ class SparseSystem {
 /// Bisection root of f on [lo, hi]; requires a sign change.
 [[nodiscard]] double bisect(const std::function<double(double)>& f, double lo,
                             double hi, double tol = 1e-12);
+
+/// Steps of `period` that cover `duration`: the nearest whole number when the
+/// quotient is within 1e-9 (relative) of it, otherwise rounded up. A duration
+/// that is a whole number of periods up to rounding runs exactly that many
+/// steps: 4.001 s of 62.5 µs ticks is 64016.00000000001, which ceil() alone
+/// would make 64017.
+[[nodiscard]] long long steps_to_cover(Seconds duration, Seconds period);
 
 /// Clamped linear map of x from [in_lo, in_hi] to [out_lo, out_hi].
 [[nodiscard]] double remap_clamped(double x, double in_lo, double in_hi,

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "core/rig.hpp"
+#include "state/serial.hpp"
 #include "util/stats.hpp"
 
 namespace aqua::cta {
@@ -246,6 +248,56 @@ TEST(Cta, RunMixesFramesAndTicksBitIdentically) {
   EXPECT_EQ(scalar.direction_signal(), mixed.direction_signal());
   EXPECT_EQ(scalar.die().temperatures().heater_a.value(),
             mixed.die().temperatures().heater_a.value());
+}
+
+TEST(Cta, RunEndsWithinHalfATickOfTheDuration) {
+  // 4.001 s is 64016.00000000001 ticks at 16 kHz: run() takes 64016 ticks,
+  // not 64017.
+  Rng rng{54};
+  CtaAnemometer anemo{maf::MafSpec{}, coarse_isif_config(), CtaConfig{}, rng};
+  anemo.run(Seconds{4.001}, water_at(0.2));
+  EXPECT_NEAR(anemo.now().value(), 4.001, 0.5 * anemo.tick_period().value());
+}
+
+// 64-bit FNV-1a over a sensor's checkpoint image.
+std::uint64_t state_hash(const CtaAnemometer& anemo) {
+  state::Writer w;
+  anemo.save_state(w);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint8_t byte : w.view()) {
+    h ^= byte;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(Cta, TickFrameMatchesTicksWhereEveryPlantTermActs) {
+  // Water where each environment-only plant term changes the state:
+  // supersaturated at 1 bar (bubbles nucleate at any overtemperature), hard
+  // and alkaline on a bare surface (the deposit grows), reverse flow at a new
+  // speed in every frame (the wake warms heater A) and one overpressure frame
+  // (the membrane breaks). Frames must match ticks after every frame, and the
+  // final image is pinned.
+  const CtaConfig cfg{};
+  Rng rng{55};
+  CtaAnemometer scalar{maf::MafSpec{}, coarse_isif_config(), cfg, rng};
+  CtaAnemometer block{maf::MafSpec{}, coarse_isif_config(), cfg, rng};
+  maf::Environment env = water_at(0.0, 15.0, 1.0);
+  env.dissolved_gas_saturation = 1.6;
+  env.chemistry = phys::WaterChemistry{600.0, 500.0, 8.5};
+  const int frame = scalar.platform().config().channel.decimation;
+  for (int f = 0; f < 600; ++f) {
+    env.speed = metres_per_second(-0.05 - 0.001 * f);
+    env.pressure = util::bar(f == 400 ? 120.0 : 1.0);
+    for (int i = 0; i < frame; ++i) scalar.tick(env);
+    block.tick_frame(env);
+    ASSERT_EQ(state_hash(scalar), state_hash(block)) << f;
+  }
+  const maf::MafDie& die = scalar.die();
+  EXPECT_GT(die.fouling_a().bubble_coverage(), 0.0);
+  EXPECT_GT(die.fouling_a().deposit_thickness(), 0.0);
+  EXPECT_FALSE(die.membrane_intact());
+  EXPECT_EQ(state_hash(scalar), 0x3e9dacd68b815c18ull);
 }
 
 TEST(Cta, TickFrameRequiresAlignment) {

@@ -2,7 +2,8 @@
 // ground truth, the diurnal pattern modulates what they see, the
 // mass-balance report localizes a leak to the right junction (paper §6's
 // "immediately localized and isolated" vision), per-sensor calls refuse bad
-// indices, and a due re-commission inside the epoch matches one after it.
+// indices, a due re-commission inside the epoch matches one after it, and a
+// node advances whole frames over a near-whole epoch.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -314,6 +315,22 @@ TEST(FleetEngine, DueRecommissionsMatchRecommissionAfterTheEpoch) {
       EXPECT_EQ(got->pass, expected[k].pass);
     }
   }
+}
+
+TEST(SensorNode, AdvanceRunsWholeFramesForANearWholeEpoch) {
+  // 4.001 s is 8002.000000000001 frames of 8 ticks at 16 kHz: the node runs
+  // 8002 frames, not 8003.
+  SensorNodeConfig cfg;
+  cfg.isif = cta::coarse_isif_config();
+  SensorNode node{0, SensorPlacement{}, cfg, util::millimetres(100.0),
+                  util::Rng{56}};
+  PipeState state;
+  state.mean_velocity_mps = 0.2;
+  state.point_velocity_mps = 0.2;
+  node.advance(state, Seconds{4.001});
+  const cta::CtaAnemometer& anemo = node.anemometer();
+  EXPECT_EQ(std::llround(anemo.now().value() / anemo.tick_period().value()),
+            8002 * cfg.isif.channel.decimation);
 }
 
 }  // namespace

@@ -112,11 +112,11 @@ TEST(ThermalNetwork, BoundaryTemperatureUpdates) {
 }
 
 TEST(ThermalNetwork, DecayCacheTransparentAcrossDtChanges) {
-  // The per-node exp(-dt·Σg/C) memo is keyed on its exact argument. A single
+  // Each step's decay exp(−dt·Σg/C) must follow that step's dt. A single
   // node relaxing to a bath has the closed form T = Tb + (T0−Tb)·Πexp(−dtᵢ/τ),
-  // so stepping dt1, dt1, dt2, dt1 exposes any stale cache hit: reusing dt2's
-  // decay for the final dt1 step would miss the expected value by far more
-  // than rounding.
+  // so stepping dt1, dt1, dt2, dt1 exposes a decay carried over from an
+  // earlier step: reusing dt2's decay for the final dt1 step would miss the
+  // expected value by far more than rounding.
   ThermalNetwork net;
   const double cap = 1e-6, g = 2e-3;  // tau = 0.5 ms
   const auto n = net.add_node(cap, celsius(40.0));
@@ -133,13 +133,13 @@ TEST(ThermalNetwork, DecayCacheTransparentAcrossDtChanges) {
 }
 
 TEST(ThermalNetwork, DecayCacheInvalidatedByConductanceChange) {
-  // Changing an edge conductance changes Σg/C; the memo must recompute, and
-  // the result must equal a network built with that conductance directly.
+  // Changing an edge conductance changes Σg/C; the next step must decay with
+  // the new value and land exactly where a twin stepped the same way does.
   ThermalNetwork net;
   const auto n = net.add_node(1e-6, celsius(30.0));
   const auto bath = net.add_boundary(celsius(20.0));
   const auto e = net.connect(n, bath, 1e-3);
-  net.step(Seconds{1e-3});  // primes the cache at g = 1e-3
+  net.step(Seconds{1e-3});  // one step at g = 1e-3 first
   net.set_conductance(e, 4e-3);
   net.step(Seconds{1e-3});
 
@@ -151,6 +151,9 @@ TEST(ThermalNetwork, DecayCacheInvalidatedByConductanceChange) {
   twin.set_conductance(0, 4e-3);
   twin.step(Seconds{1e-3});
   EXPECT_EQ(net.temperature(n).value(), twin.temperature(tn).value());
+  // Closed form: τ = C/g is 1 ms, then 0.25 ms.
+  EXPECT_NEAR(net.temperature(n).value() - celsius(20.0).value(),
+              10.0 * std::exp(-1.0) * std::exp(-4.0), 1e-9);
 }
 
 TEST(ThermalNetwork, StepAfterSettleUsesSameAdjacency) {

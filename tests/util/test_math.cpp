@@ -262,6 +262,23 @@ TEST(Bisect, ThrowsWithoutSignChange) {
                std::invalid_argument);
 }
 
+TEST(StepsToCover, NearWholeQuotientsRoundToTheWholeNumber) {
+  // 4.001 s of 16 kHz ticks is 64016.00000000001 and of 8-tick frames
+  // 8002.000000000001; 0.14 s of 0.02 s epochs is 7.000000000000001.
+  EXPECT_EQ(steps_to_cover(Seconds{4.001}, Seconds{1.0 / 16000.0}), 64016);
+  EXPECT_EQ(steps_to_cover(Seconds{4.001}, Seconds{8.0 / 16000.0}), 8002);
+  EXPECT_EQ(steps_to_cover(Seconds{0.14}, Seconds{0.02}), 7);
+  EXPECT_EQ(steps_to_cover(Seconds{0.3}, Seconds{0.1}), 3);  // 2.9999999999999996
+  EXPECT_EQ(steps_to_cover(Seconds{1.0}, Seconds{0.25}), 4);
+}
+
+TEST(StepsToCover, FractionalQuotientsRoundUp) {
+  EXPECT_EQ(steps_to_cover(Seconds{4.0011}, Seconds{1.0 / 16000.0}), 64018);
+  EXPECT_EQ(steps_to_cover(Seconds{0.5}, Seconds{0.3}), 2);
+  EXPECT_EQ(steps_to_cover(Seconds{1e-12}, Seconds{0.02}), 1);
+  EXPECT_EQ(steps_to_cover(Seconds{0.0}, Seconds{0.02}), 0);
+}
+
 TEST(RemapClamped, MapsAndClamps) {
   EXPECT_DOUBLE_EQ(remap_clamped(5.0, 0.0, 10.0, 0.0, 100.0), 50.0);
   EXPECT_DOUBLE_EQ(remap_clamped(-5.0, 0.0, 10.0, 0.0, 100.0), 0.0);
