@@ -16,6 +16,7 @@
 #include "dsp/pid.hpp"
 #include "hydro/network.hpp"
 #include "isif/channel.hpp"
+#include "isif/dac_ctrl.hpp"
 #include "maf/die.hpp"
 
 namespace {
@@ -146,6 +147,39 @@ void BM_CoarseAnemometerFrame(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * frame);
 }
 BENCHMARK(BM_CoarseAnemometerFrame);
+
+// The bridge-supply DAC's per-tick path as night-1k drives it: one
+// DacController::update_with_decay per 16 kHz tick and a new code every 8
+// ticks (one per decimation frame), stepping 16–255 codes at a time within
+// codes 128–1279, three 512-code pages of the mismatch table. The walk is
+// drawn before timing, and the first pass fills the pages. items_per_second
+// counts ticks.
+void BM_SupplyDacWalk(benchmark::State& state) {
+  isif::DacController dac{cta::coarse_isif_config().dac12, util::Rng{5}};
+  std::vector<int> walk(4096);
+  util::Rng rng{9};
+  int code = 128;
+  for (int& target : walk) {
+    const int step = 16 + static_cast<int>(rng.below(240));
+    code += rng.bernoulli(0.5) ? step : -step;
+    if (code < 128) code = 256 - code;    // reflect off the band's edges
+    if (code > 1279) code = 2558 - code;
+    target = code;
+  }
+  const double decay = dac.settling_decay(util::Seconds{1.0 / 16000.0});
+  std::size_t next = 0;
+  int tick = 0;
+  for (auto _ : state) {
+    if (tick == 0) {
+      dac.request_code(walk[next]);
+      next = (next + 1) % walk.size();
+    }
+    tick = (tick + 1) % 8;
+    benchmark::DoNotOptimize(dac.update_with_decay(decay));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SupplyDacWalk);
 
 // One die step at a fixed environment, computing its environment-only terms
 // each step as the die's other callers do.

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Gate the channel hot-path throughput against the committed baseline.
+"""Gate bench_fleet's report against the committed baseline.
 
-Reads the per-stage section bench_fleet writes into BENCH_fleet.json and
-compares it with ci/bench_baseline.json (committed alongside the code, the
-same machinery as ci/tier1_baseline_seconds.txt). The job fails when the
-block-path channel throughput regresses more than the allowed fraction, or
-when the block path loses its edge over the scalar reference path entirely.
+Reads the per-stage and scaling sections bench_fleet writes into
+BENCH_fleet.json and compares them with ci/bench_baseline.json (committed
+alongside the code, the same machinery as ci/tier1_baseline_seconds.txt). The
+job fails when the block-path channel throughput regresses more than the
+allowed fraction, when the block path loses its edge over the scalar
+reference path entirely, or when the 10k completion run's peak RSS exceeds
+its ceiling.
 
 CI runners differ from the machine that recorded the baseline, so the gates
 come in two characters:
@@ -35,8 +37,15 @@ come in two characters:
   skipped with a ::warning rather than passed on a ratio of ~1.0 that could
   never fail. scaling.deterministic must be true on every runner — a
   checksum mismatch at 1k or 10k sensors is a broken determinism contract.
-  The 10k completion run's serial-vs-pool speedup and the process's peak
-  RSS after it are printed, not gated.
+  The 10k completion run's serial-vs-pool speedup is printed, not gated.
+* completion_run.peak_rss_mb <= ceiling       — machine-independent. The
+  process's peak RSS after the 10k completion run, against the ceiling in
+  the baseline's "completion_run" object. Memory does not depend on runner
+  speed, so the same ceiling holds on every runner: more than that means
+  sensors got bigger (the DAC mismatch tables, ~36 KB a sensor when each
+  held its whole table, are the usual suspect). A run at another fleet size
+  is not comparable and only warns; a skipped completion run fails, since
+  the gate could not run.
 
 Other stage rates are reported but only warn: they feed the artifact for
 trend-watching, not the gate.
@@ -106,10 +115,42 @@ def gated_ratio(measured, path, key):
     return value
 
 
-def check_scaling(path):
-    """Gates the fleet scaling sweep: determinism plus the hardware-normalised
-    efficiency floor. Both are properties of the measured run alone — no
-    baseline needed, so runner hardware never enters the comparison."""
+def check_completion_rss(xl, path, ceiling):
+    """Gates the 10k completion run's peak RSS against the baseline ceiling.
+    Returns True on failure."""
+    want_sensors = ceiling.get("sensors")
+    limit = ceiling.get("peak_rss_mb_ceiling")
+    if limit is None:
+        print("::error::the baseline has no completion_run.peak_rss_mb_ceiling")
+        return True
+    if not isinstance(xl, dict):
+        print(f"::error::{path} has no completion run — bench_fleet skipped "
+              "it (AQUA_FLEET_XL_SENSORS=0?), so its peak RSS cannot be gated")
+        return True
+    rss = xl.get("peak_rss_mb")
+    if rss is None:
+        print(f"::error::{path} has no scaling.completion_run.peak_rss_mb — "
+              "stale bench binary or renamed key?")
+        return True
+    if xl.get("sensors") != want_sensors:
+        print(f"::warning::completion run at {xl.get('sensors')} sensors, "
+              f"but the peak RSS ceiling is for {want_sensors}: "
+              f"{rss:.0f} MB not gated")
+        return False
+    print(f"completion run peak RSS: {rss:.0f} MB at {want_sensors} sensors "
+          f"(must stay <= {limit:.0f} MB)")
+    if rss > limit:
+        print(f"::error::the 10k completion run peaked at {rss:.0f} MB, above "
+              f"the {limit:.0f} MB ceiling — memory does not depend on runner "
+              "speed, so the fleet's per-sensor footprint grew")
+        return True
+    return False
+
+
+def check_scaling(path, rss_ceiling):
+    """Gates the fleet scaling sweep: determinism, the hardware-normalised
+    efficiency floor and the completion run's peak RSS ceiling. All are
+    properties of the measured run alone and independent of runner speed."""
     report = load_report(path, "measured")
     if report is None:
         return True
@@ -132,8 +173,9 @@ def check_scaling(path):
         print(f"completion run: {xl.get('sensors')} sensors, "
               f"{xl.get('serial_wall_s', 0.0):.1f} s serial vs "
               f"{xl.get('wall_s', 0.0):.1f} s on pool({xl.get('threads')}) "
-              f"= {xl.get('speedup', 0.0):.2f}x, peak RSS "
-              f"{xl.get('peak_rss_mb', 0.0):.0f} MB (reported, not gated)")
+              f"= {xl.get('speedup', 0.0):.2f}x (speedup reported, not gated)")
+    if check_completion_rss(xl, path, rss_ceiling):
+        failed = True
     if "fleet_scaling_efficiency" not in scaling:
         print(f"::error::{path} has no scaling.fleet_scaling_efficiency — "
               "stale bench binary or renamed key?")
@@ -168,8 +210,13 @@ def main(argv):
     baseline = load_stages(argv[2], "baseline")
     if measured is None or baseline is None:
         return 1
+    rss_ceiling = load_report(argv[2], "baseline").get("completion_run")
+    if not isinstance(rss_ceiling, dict):
+        print(f"::error::baseline file {argv[2]} has no \"completion_run\" "
+              "object with the peak RSS ceiling")
+        return 1
 
-    failed = check_scaling(argv[1])
+    failed = check_scaling(argv[1], rss_ceiling)
 
     for key in GATED_KEYS:
         if key not in measured:

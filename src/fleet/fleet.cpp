@@ -101,6 +101,9 @@ FleetEngine::FleetEngine(hydro::WaterNetwork& network,
                          std::span<const SensorPlacement> placements,
                          const FleetConfig& config)
     : net_(network), config_(config) {
+  if (!std::isfinite(config.epoch.value()) || !(config.epoch.value() > 0.0))
+    throw std::invalid_argument(
+        "FleetEngine: epoch must be finite and positive");
   base_demands_.resize(net_.node_count(), 0.0);
   for (hydro::WaterNetwork::NodeId n = 0; n < net_.node_count(); ++n)
     base_demands_[n] = net_.node_demand(n);

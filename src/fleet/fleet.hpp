@@ -82,7 +82,9 @@ struct MaskedEstimates {
 class FleetEngine {
  public:
   /// Captures the network's current demands as the diurnal base and solves
-  /// once. Throws std::runtime_error if that initial solve fails.
+  /// once. Throws std::invalid_argument for a non-positive or non-finite
+  /// `config.epoch`, before any sensor is built, and std::runtime_error if
+  /// the initial solve fails.
   FleetEngine(hydro::WaterNetwork& network,
               std::span<const SensorPlacement> placements,
               const FleetConfig& config);

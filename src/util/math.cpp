@@ -272,7 +272,15 @@ double bisect(const std::function<double(double)>& f, double lo, double hi,
 }
 
 long long steps_to_cover(Seconds duration, Seconds period) {
+  if (!std::isfinite(duration.value()) || duration.value() < 0.0)
+    throw std::invalid_argument(
+        "steps_to_cover: duration must be finite and non-negative");
+  if (!std::isfinite(period.value()) || !(period.value() > 0.0))
+    throw std::invalid_argument(
+        "steps_to_cover: period must be finite and positive");
   const double steps = duration.value() / period.value();
+  if (!(steps < 0x1p63))  // ceil() of it would not fit a long long
+    throw std::invalid_argument("steps_to_cover: too many steps");
   const double nearest = std::round(steps);
   if (std::abs(steps - nearest) <= 1e-9 * nearest)
     return static_cast<long long>(nearest);

@@ -99,7 +99,9 @@ class SparseSystem {
 /// quotient is within 1e-9 (relative) of it, otherwise rounded up. A duration
 /// that is a whole number of periods up to rounding runs exactly that many
 /// steps: 4.001 s of 62.5 µs ticks is 64016.00000000001, which ceil() alone
-/// would make 64017.
+/// would make 64017. Throws std::invalid_argument for a negative or
+/// non-finite duration, a non-positive or non-finite period, or a count that
+/// does not fit a long long.
 [[nodiscard]] long long steps_to_cover(Seconds duration, Seconds period);
 
 /// Clamped linear map of x from [in_lo, in_hi] to [out_lo, out_hi].

@@ -3,7 +3,8 @@
 // scratch is sized, tick_frame()/process_frame() run allocation-free; this TU
 // replaces the global operator new/delete with counting forwarders and asserts
 // a zero delta across settled frames. Byte totals bound the heap a fleet
-// sensor takes at construction and the heap one network solve takes. The
+// sensor takes at construction and the heap one network solve takes, and a
+// commissioned sensor's supply DAC holds only a few pages of its table. The
 // override is process-wide, but it only counts — behaviour of every other
 // test in this binary is unchanged.
 #include <atomic>
@@ -18,6 +19,7 @@
 #include "../hydro/replicated_district.hpp"
 #include "fleet/sensor_node.hpp"
 #include "isif/channel.hpp"
+#include "isif/platform.hpp"
 #include "util/rng.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -134,6 +136,31 @@ TEST(BlockAllocation, SensorNodeConstructionDrawsNoDacTable) {
   const long bytes = g_allocated_bytes.load(std::memory_order_relaxed) - before;
   EXPECT_LT(bytes, kTwelveBitTableBytes);
 #endif
+}
+
+TEST(BlockAllocation, CommissionedSensorHoldsFewSupplyDacPages) {
+  // The closed loop reads only its operating band of the supply DAC's
+  // transfer, so a commissioned sensor's driven DAC (dac 0) holds at most 4
+  // of its 8 pages of prefix sums, also after a stretch at night flow. The
+  // five idle DACs are never read, so they hold none and map no table.
+  fleet::SensorNodeConfig cfg;
+  cfg.isif = coarse_isif_config();
+  fleet::SensorNode node{0, fleet::SensorPlacement{}, cfg, util::Metres{0.1},
+                         Rng::stream(3, 0)};
+  fleet::PipeState pipe;
+  node.commission(pipe, Seconds{0.03});
+  isif::Isif& isif = node.anemometer().platform();
+  const analog::ThermometerDac& supply = isif.dac(0).dac();
+  EXPECT_EQ(supply.page_count(), 8);
+  EXPECT_GE(supply.filled_pages(), 1);
+  EXPECT_LE(supply.filled_pages(), 4);
+
+  pipe.mean_velocity_mps = 0.2;
+  pipe.point_velocity_mps = 0.2;
+  node.advance(pipe, Seconds{0.5});
+  EXPECT_LE(supply.filled_pages(), 4);
+  for (int i = 1; i < isif::Isif::kDacCount; ++i)
+    EXPECT_EQ(isif.dac(i).dac().filled_pages(), 0) << "dac " << i;
 }
 
 TEST(BlockAllocation, DistrictSolveTakesLessThanOneDenseMatrix) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 
 #include "core/rig.hpp"
 #include "state/serial.hpp"
@@ -207,6 +208,18 @@ TEST(Cta, ConfigValidation) {
   EXPECT_THROW(
       (CtaAnemometer{maf::MafSpec{}, fast_isif_config(), bad2, rng2}),
       std::invalid_argument);
+}
+
+TEST(Cta, RunRefusesADurationWithNoTickCount) {
+  // A NaN, infinite or negative duration has no whole number of ticks, so
+  // run() refuses it before the first tick.
+  auto anemo = make_anemo();
+  const auto env = water_at(0.5);
+  for (const double d : {std::nan(""), HUGE_VAL, -0.1}) {
+    EXPECT_THROW(anemo.run(Seconds{d}, env), std::invalid_argument)
+        << "duration " << d;
+    EXPECT_EQ(anemo.now().value(), 0.0);
+  }
 }
 
 TEST(Cta, TickFrameBitIdenticalToScalarTicks) {

@@ -1,12 +1,14 @@
 // Functional tests of the fleet engine: calibrated sensors track the network
 // ground truth, the diurnal pattern modulates what they see, the
 // mass-balance report localizes a leak to the right junction (paper §6's
-// "immediately localized and isolated" vision), per-sensor calls refuse bad
-// indices, a due re-commission inside the epoch matches one after it, and a
-// node advances whole frames over a near-whole epoch.
+// "immediately localized and isolated" vision), the constructor refuses an
+// epoch with no whole count, per-sensor calls refuse bad indices, a due
+// re-commission inside the epoch matches one after it, and a node advances
+// whole frames over a near-whole epoch.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -206,6 +208,25 @@ TEST(FleetEngine, ThrowsOnOutOfRangePlacement) {
   d.placements.push_back(SensorPlacement{99, 0.0});
   FleetConfig cfg = make_config();
   EXPECT_THROW(FleetEngine(d.net, d.placements, cfg), std::out_of_range);
+}
+
+TEST(FleetEngine, RefusesAnEpochWithNoWholeCount) {
+  // An epoch that is not a finite positive duration would reach
+  // util::steps_to_cover through run(), epochs_for() and CampaignRunner.
+  // The constructor refuses it before it builds any sensor: with a
+  // placement it could not build, the epoch is still what it reports.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double epoch : {0.0, -0.25, nan, inf}) {
+    District d = make_small_district();
+    FleetConfig cfg = make_config();
+    cfg.epoch = Seconds{epoch};
+    EXPECT_THROW(FleetEngine(d.net, d.placements, cfg), std::invalid_argument)
+        << "epoch " << epoch;
+    d.placements.push_back(SensorPlacement{99, 0.0});
+    EXPECT_THROW(FleetEngine(d.net, d.placements, cfg), std::invalid_argument)
+        << "epoch " << epoch;
+  }
 }
 
 // --- per-sensor calls and due re-commissions ----------------------------------

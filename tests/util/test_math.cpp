@@ -5,7 +5,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -277,6 +279,30 @@ TEST(StepsToCover, FractionalQuotientsRoundUp) {
   EXPECT_EQ(steps_to_cover(Seconds{0.5}, Seconds{0.3}), 2);
   EXPECT_EQ(steps_to_cover(Seconds{1e-12}, Seconds{0.02}), 1);
   EXPECT_EQ(steps_to_cover(Seconds{0.0}, Seconds{0.02}), 0);
+}
+
+TEST(StepsToCover, RefusesInputsWithNoWholeCount) {
+  // A NaN or infinite quotient would reach a long long through ceil(),
+  // which is undefined behaviour; each such input is refused instead.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const Seconds epoch{0.02};
+  EXPECT_THROW((void)steps_to_cover(Seconds{nan}, epoch), std::invalid_argument);
+  EXPECT_THROW((void)steps_to_cover(Seconds{inf}, epoch), std::invalid_argument);
+  EXPECT_THROW((void)steps_to_cover(Seconds{-0.5}, epoch),
+               std::invalid_argument);
+  for (const double period : {0.0, -0.02, nan, inf, -inf})
+    EXPECT_THROW((void)steps_to_cover(Seconds{1.0}, Seconds{period}),
+                 std::invalid_argument)
+        << "period " << period;
+  EXPECT_THROW((void)steps_to_cover(Seconds{0.0}, Seconds{0.0}),
+               std::invalid_argument);
+  // Finite inputs whose count overflows a long long.
+  EXPECT_THROW((void)steps_to_cover(Seconds{1e300}, Seconds{1e-300}),
+               std::invalid_argument);
+  EXPECT_THROW((void)steps_to_cover(Seconds{1e19}, Seconds{1.0}),
+               std::invalid_argument);
+  EXPECT_EQ(steps_to_cover(Seconds{1e18}, Seconds{1.0}), 1000000000000000000);
 }
 
 TEST(RemapClamped, MapsAndClamps) {
