@@ -31,7 +31,7 @@ int main() {
     maf::Environment env = rig.line().environment();
     env.speed = util::metres_per_second(
         v * rig.profile_factor_at(util::metres_per_second(v)));
-    const double u = rig.settled_voltage(env, util::Seconds{1.5});
+    const double u = rig.anemometer().settled_voltage(env, util::Seconds{1.5});
     table.add_row({v * 100.0, u, fit.voltage(v), (u - fit.voltage(v)) * 1e3,
                    fit.sensitivity(v)});
   }

@@ -1,11 +1,10 @@
-// bench_fleet — fleet co-simulation throughput, serial vs the work-stealing
+// bench_fleet — fleet co-simulation throughput, serial vs the claimed-index
 // pool: 32 CTA sensors on a 32-pipe district, each integrating its ΣΔ/CIC/PI
 // loop against the diurnal network solution. Reports sensors×sim-seconds per
 // wall second for each mode plus a bitwise trace checksum per run — identical
 // checksums across all modes are the determinism proof (same root seed ⇒
 // bit-identical traces at any thread count).
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -22,6 +21,7 @@
 
 #include "analog/amplifier.hpp"
 #include "common.hpp"
+#include "fault/campaign.hpp"
 #include "fleet/fleet.hpp"
 #include "isif/channel.hpp"
 #include "maf/die.hpp"
@@ -62,17 +62,6 @@ struct RunResult {
   std::uint64_t checksum = 0;
   std::size_t sensors = 0;
 };
-
-std::uint64_t trace_checksum(const fleet::FleetEngine& engine) {
-  std::uint64_t checksum = 0;
-  for (std::size_t i = 0; i < engine.size(); ++i)
-    for (const fleet::TraceSample& s : engine.node(i).trace()) {
-      checksum ^= std::bit_cast<std::uint64_t>(s.bridge_voltage);
-      checksum ^= std::bit_cast<std::uint64_t>(s.estimate_mps) * 0x9E37u;
-      checksum ^= std::bit_cast<std::uint64_t>(s.true_mean_mps) * 0x85EBu;
-    }
-  return checksum;
-}
 
 // --- fleet scaling sweep ----------------------------------------------------
 // The self-claimed epoch loop's scaling proof: a ~1k-sensor fleet run
@@ -141,7 +130,7 @@ RunResult run_scaling_mode(unsigned threads, std::size_t replicas,
   r.wall_s = std::chrono::duration<double>(t1 - t0).count();
   r.throughput = static_cast<double>(engine.size()) * epoch_s *
                  static_cast<double>(epochs) / r.wall_s;
-  r.checksum = trace_checksum(engine);
+  r.checksum = fault::fleet_trace_checksum(engine);
   return r;
 }
 
@@ -410,12 +399,7 @@ RunResult run_mode(unsigned threads, double sim_seconds) {
   r.wall_s = std::chrono::duration<double>(t1 - t0).count();
   r.throughput =
       static_cast<double>(engine.size()) * sim_seconds / r.wall_s;
-  for (std::size_t i = 0; i < engine.size(); ++i)
-    for (const fleet::TraceSample& s : engine.node(i).trace()) {
-      r.checksum ^= std::bit_cast<std::uint64_t>(s.bridge_voltage);
-      r.checksum ^= std::bit_cast<std::uint64_t>(s.estimate_mps) * 0x9E37u;
-      r.checksum ^= std::bit_cast<std::uint64_t>(s.true_mean_mps) * 0x85EBu;
-    }
+  r.checksum = fault::fleet_trace_checksum(engine);
   return r;
 }
 

@@ -3,6 +3,7 @@
 // simulated seconds at the modulator clock) complete in minutes.
 #include <benchmark/benchmark.h>
 
+#include <functional>
 #include <vector>
 
 #include "analog/amplifier.hpp"
@@ -18,6 +19,7 @@
 #include "isif/channel.hpp"
 #include "isif/dac_ctrl.hpp"
 #include "maf/die.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -246,6 +248,31 @@ void BM_NetworkSolveDistrict(benchmark::State& state) {
       static_cast<double>(net.node_count() - replicas);
 }
 BENCHMARK(BM_NetworkSolveDistrict)->Arg(32)->Unit(benchmark::kMicrosecond);
+
+// The pool's fork/join as the fleet drives it, on pool(4). Args {4, 0}: four
+// empty bodies, the hand-off every pooled epoch pays around its claim loops.
+// Args {1024, 1}: a ~1 µs body per index, a 1024-sensor dispatch of very
+// cheap sensors. Real time per call: the caller sleeps while workers run.
+void BM_PoolParallelFor(benchmark::State& state) {
+  util::ThreadPool pool{4};
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const bool busy = state.range(1) != 0;
+  std::vector<double> sink(n, 0.0);
+  const std::function<void(std::size_t)> body = [&](std::size_t i) {
+    if (!busy) return;
+    double x = sink[i] + 1.0;
+    for (int k = 0; k < 300; ++k) x = x * 0.999999 + 1e-9;  // ~1 µs chain
+    sink[i] = x;
+  };
+  for (auto _ : state) pool.parallel_for(n, body);
+  benchmark::DoNotOptimize(sink.data());
+  state.SetItemsProcessed(state.iterations() * static_cast<long long>(n));
+}
+BENCHMARK(BM_PoolParallelFor)
+    ->Args({4, 0})
+    ->Args({1024, 1})
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -1,7 +1,7 @@
 // fleet_monitoring — the paper's §6 vision end to end: a fleet of cheap MAF
 // insertion sensors "widely diffused all over the water distribution
 // channels", co-simulated against a small looped district over a compressed
-// diurnal day, stepped in parallel on a work-stealing pool. Halfway through,
+// diurnal day, stepped in parallel on a thread pool. Halfway through,
 // a pipe springs a pressure-driven leak; the fleet's per-junction mass
 // balance localizes it.
 #include <cstdio>
@@ -20,7 +20,7 @@ int main() {
   using util::Seconds;
 
   // Capture the whole run as a trace: epochs, hydro solves, per-sensor frame
-  // batches and the pool's task/steal activity, one track per thread.
+  // batches and the pool's tasks, one track per thread.
   obs::TraceRecorder::set_enabled(true);
   obs::TraceRecorder::set_thread_name("main");
 

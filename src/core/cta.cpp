@@ -79,10 +79,7 @@ CtaAnemometer::CtaAnemometer(const maf::MafSpec& maf_spec,
   if (config.output_divisor < 1)
     throw std::invalid_argument("CtaAnemometer: output divisor must be >= 1");
 
-  u_ = u_held_ = config_.pi_min;
-  pi_.reset(u_);
-  isif_.dac(0).request_code(static_cast<int>(
-      std::lround(u_ * isif_.dac(0).dac().max_code())));
+  restart_electronics();
 
   const auto frame =
       static_cast<std::size_t>(isif_config.channel.decimation);
@@ -266,6 +263,23 @@ void CtaAnemometer::run(Seconds duration, const maf::Environment& env) {
   for (; i < n; ++i) tick(env);
 }
 
+double CtaAnemometer::settled_voltage(const maf::Environment& env,
+                                      Seconds dwell, double trailing_fraction) {
+  const long long n = util::steps_to_cover(dwell, tick_period());
+  const long long tail_start =
+      n - static_cast<long long>(trailing_fraction * static_cast<double>(n));
+  double acc = 0.0;
+  long long count = 0;
+  for (long long i = 0; i < n; ++i) {
+    tick(env);
+    if (i >= tail_start) {
+      acc += bridge_voltage();
+      ++count;
+    }
+  }
+  return count > 0 ? acc / static_cast<double>(count) : 0.0;
+}
+
 void CtaAnemometer::commission(const maf::Environment& zero_flow_env,
                                Seconds settle) {
   // The heavily-filtered direction signal settles slowly, so the null is
@@ -286,44 +300,11 @@ void CtaAnemometer::commission(const maf::Environment& zero_flow_env,
   flight_.record(t_.value(), obs::FlightRecordKind::kCommission, 0, settled);
 }
 
-void CtaAnemometer::reset() {
-  // Record the reset at the *old* time, then rewind. The blackbox history
-  // survives reset on purpose; only the edge detectors restart so the replay
-  // records the same transitions again.
-  flight_.record(t_.value(), obs::FlightRecordKind::kReset);
+void CtaAnemometer::restart_electronics() {
+  // The blackbox history survives on purpose; only its edge detectors
+  // restart, so a replay records the same transitions again.
   pi_saturated_ = false;
   adc_overload_prev_ = false;
-  die_.reset();
-  package_.reset();
-  isif_.reset();
-  output_iir_.reset();
-  direction_lp_.reset(0.0);
-  t_ = Seconds{0.0};
-  control_ticks_ = 0;
-  tick_phase_ = 0;
-  pending_error_code_ = 0.0;
-  pending_dir_code_ = 0.0;
-  adc_overload_ = false;
-  filtered_u_ = 0.0;
-  direction_offset_ = 0.0;
-  dir_filtered_ = 0.0;
-  phase_on_ = true;
-  was_on_ = true;
-  output_primed_ = false;
-  // Same bootstrap sequence as the constructor: keep-alive floor on the PI
-  // and the bridge-supply DAC.
-  u_ = u_held_ = config_.pi_min;
-  pi_.reset(u_);
-  isif_.dac(0).request_code(static_cast<int>(
-      std::lround(u_ * isif_.dac(0).dac().max_code())));
-}
-
-void CtaAnemometer::reboot() {
-  flight_.record(t_.value(), obs::FlightRecordKind::kReboot);
-  pi_saturated_ = false;
-  adc_overload_prev_ = false;
-  // Electronics only: die_ and package_ keep their (possibly damaged)
-  // physical state, and t_ keeps running — the plant does not reboot.
   isif_.reset();
   output_iir_.reset();
   direction_lp_.reset(0.0);
@@ -338,10 +319,27 @@ void CtaAnemometer::reboot() {
   phase_on_ = true;
   was_on_ = true;
   output_primed_ = false;
+  // Bootstrap: keep-alive floor on the PI and the bridge-supply DAC.
   u_ = u_held_ = config_.pi_min;
   pi_.reset(u_);
   isif_.dac(0).request_code(static_cast<int>(
       std::lround(u_ * isif_.dac(0).dac().max_code())));
+}
+
+void CtaAnemometer::reset() {
+  // Record the reset at the *old* time, then rewind.
+  flight_.record(t_.value(), obs::FlightRecordKind::kReset);
+  die_.reset();
+  package_.reset();
+  t_ = Seconds{0.0};
+  restart_electronics();
+}
+
+void CtaAnemometer::reboot() {
+  flight_.record(t_.value(), obs::FlightRecordKind::kReboot);
+  // Electronics only: die_ and package_ keep their (possibly damaged)
+  // physical state, and t_ keeps running — the plant does not reboot.
+  restart_electronics();
 }
 
 void CtaAnemometer::save_state(state::Writer& w) const {

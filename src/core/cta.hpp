@@ -117,6 +117,13 @@ class CtaAnemometer {
   /// pure tick() loop either way.
   void run(util::Seconds duration, const maf::Environment& env);
 
+  /// Ticks the loop through `dwell` under a constant environment and returns
+  /// the mean bridge voltage over the dwell's trailing fraction — the settled
+  /// reading of one calibration point.
+  [[nodiscard]] double settled_voltage(const maf::Environment& env,
+                                       util::Seconds dwell,
+                                       double trailing_fraction = 0.4);
+
   /// Commissions the sensor at zero flow: settles the loop and nulls the
   /// direction channel's residual offset (heater tolerance mismatch).
   void commission(const maf::Environment& zero_flow_env,
@@ -211,6 +218,10 @@ class CtaAnemometer {
   /// the firmware tick.
   void end_frame(const isif::ChannelSample& sample_a);
   void control_update();
+  /// The electronics' power-up state, shared by the constructor, reset()
+  /// and reboot(): platform, PI, filters, timers, commissioning null and the
+  /// loop bootstrap. The die, the package and the clock are not touched.
+  void restart_electronics();
 
   CtaConfig config_;
   maf::MafDie die_;

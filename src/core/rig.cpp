@@ -79,24 +79,6 @@ double VinciRig::profile_factor_at(MetresPerSecond mean) const {
   return hydro::profile_factor(re, config_.line.probe_radius_fraction);
 }
 
-double VinciRig::settled_voltage(const maf::Environment& env, Seconds dwell,
-                                 double trailing_fraction) {
-  const Seconds tick = anemometer_->tick_period();
-  const long long n = util::steps_to_cover(dwell, tick);
-  const long long tail_start =
-      n - static_cast<long long>(trailing_fraction * static_cast<double>(n));
-  double acc = 0.0;
-  long long count = 0;
-  for (long long i = 0; i < n; ++i) {
-    anemometer_->tick(env);
-    if (i >= tail_start) {
-      acc += anemometer_->bridge_voltage();
-      ++count;
-    }
-  }
-  return count > 0 ? acc / static_cast<double>(count) : 0.0;
-}
-
 KingFit VinciRig::calibrate(std::span<const double> speeds_mps, Seconds dwell) {
   std::vector<CalPoint> points;
   points.reserve(speeds_mps.size());
@@ -107,7 +89,7 @@ KingFit VinciRig::calibrate(std::span<const double> speeds_mps, Seconds dwell) {
     // field campaign.
     env.speed =
         MetresPerSecond{mean * profile_factor_at(MetresPerSecond{mean})};
-    const double u = settled_voltage(env, dwell);
+    const double u = anemometer_->settled_voltage(env, dwell);
     points.push_back(CalPoint{mean, u});
   }
   return fit_kings_law(points);
@@ -123,9 +105,9 @@ VinciRig::BidirectionalFit VinciRig::calibrate_bidirectional(
         mean * profile_factor_at(MetresPerSecond{std::abs(mean)});
     maf::Environment env = line_.environment();
     env.speed = MetresPerSecond{point};
-    fwd.push_back(CalPoint{mean, settled_voltage(env, dwell)});
+    fwd.push_back(CalPoint{mean, anemometer_->settled_voltage(env, dwell)});
     env.speed = MetresPerSecond{-point};
-    rev.push_back(CalPoint{mean, settled_voltage(env, dwell)});
+    rev.push_back(CalPoint{mean, anemometer_->settled_voltage(env, dwell)});
   }
   return BidirectionalFit{fit_kings_law(fwd), fit_kings_law(rev)};
 }

@@ -67,12 +67,6 @@ class VinciRig {
       std::span<const double> speeds_mps,
       util::Seconds dwell = util::Seconds{2.0});
 
-  /// Mean bridge voltage over the trailing fraction of a dwell at a fixed
-  /// environment (helper for calibration-style measurements).
-  [[nodiscard]] double settled_voltage(const maf::Environment& env,
-                                       util::Seconds dwell,
-                                       double trailing_fraction = 0.4);
-
   /// Probe-point/mean velocity factor at the given mean line speed (what the
   /// insertion calibration absorbs).
   [[nodiscard]] double profile_factor_at(util::MetresPerSecond mean) const;

@@ -239,8 +239,8 @@ void FleetEngine::claim_chunks(std::size_t worker,
   // supervisor acts at, so its span carries the end-of-epoch time.
   const double boundary_s = (t_ + config_.epoch).value();
   // Relaxed is enough: the cursor only has to hand each item out once. The
-  // epoch's inputs and outputs are published by the task submission and
-  // the futures around this loop, not by the cursor.
+  // epoch's inputs and outputs are published by the pool's parallel_for
+  // around this loop (its job hand-off and join), not by the cursor.
   for (;;) {
     const std::size_t item =
         next_item_.fetch_add(1, std::memory_order_relaxed);
@@ -290,8 +290,8 @@ void FleetEngine::step_epoch(util::ThreadPool* pool,
     }
   }
   // The fan-out only reads the network, so every sensor task derives its
-  // pipe state from this epoch's solution. The claim loop runs as one pool
-  // task per worker, or serially on the caller, which then claims every
+  // pipe state from this epoch's solution. The claim loop runs once per
+  // pool worker index, or serially on the caller, which then claims every
   // item in order.
   const std::size_t workers = pool != nullptr ? pool->thread_count() : 1;
   worker_busy_s_.assign(workers, 0.0);

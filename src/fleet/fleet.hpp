@@ -128,8 +128,8 @@ class FleetEngine {
   /// chunked sensor execution, clock tick. run() is a loop over this. Fault
   /// injectors act *between* step_epoch calls on the caller's thread, which
   /// keeps campaigns bit-reproducible at any thread count. A non-null pool
-  /// gets exactly one claiming task per worker, and every task has finished,
-  /// trace span included, on return.
+  /// runs the claim loop as one parallel_for index per worker, and every
+  /// index has finished, trace span included, on return.
   void step_epoch(util::ThreadPool* pool = nullptr) {
     step_epoch(pool, {}, util::Seconds{0.0});
   }

@@ -65,23 +65,6 @@ void SensorNode::commission(const PipeState& state, Seconds settle) {
   anemometer_.commission(environment_for(still), settle);
 }
 
-double SensorNode::settled_voltage(const maf::Environment& env,
-                                   Seconds dwell) {
-  const Seconds tick = anemometer_.tick_period();
-  const long long n = util::steps_to_cover(dwell, tick);
-  const long long tail_start = n - static_cast<long long>(0.4 * n);
-  double acc = 0.0;
-  long long count = 0;
-  for (long long i = 0; i < n; ++i) {
-    anemometer_.tick(env);
-    if (i >= tail_start) {
-      acc += anemometer_.bridge_voltage();
-      ++count;
-    }
-  }
-  return count > 0 ? acc / static_cast<double>(count) : 0.0;
-}
-
 void SensorNode::calibrate(const PipeState& state,
                            std::span<const double> mean_speeds,
                            Seconds dwell) {
@@ -95,7 +78,8 @@ void SensorNode::calibrate(const PipeState& state,
         mean * profile_factor_at(mean, state.temperature));
     env.fluid_temperature = state.temperature;
     env.pressure = state.pressure;
-    points.push_back(cta::CalPoint{mean, settled_voltage(env, dwell)});
+    points.push_back(
+        cta::CalPoint{mean, anemometer_.settled_voltage(env, dwell)});
   }
   estimator_.emplace(cta::fit_kings_law(points), config_.full_scale,
                      state.temperature);

@@ -156,11 +156,6 @@ class SensorNode {
   /// Environment at the probe head: point velocity + AR(1) turbulence.
   [[nodiscard]] maf::Environment environment_for(const PipeState& state) const;
 
-  /// Mean bridge voltage over the trailing 40% of a dwell at a fixed
-  /// environment (mirrors VinciRig::settled_voltage).
-  [[nodiscard]] double settled_voltage(const maf::Environment& env,
-                                       util::Seconds dwell);
-
   std::size_t index_;
   SensorPlacement placement_;
   SensorNodeConfig config_;

@@ -34,9 +34,9 @@
 //    non-deterministic; it feeds telemetry only, never the simulation.
 //
 // snapshot() is wait-free for writers but best-effort for the scraper: take
-// it at a quiescent point (end of a run, after wait_idle) like
-// Registry::zero(); events overwritten mid-copy are detected and dropped,
-// never corrupted.
+// it at a quiescent point (end of a run, after a pool's parallel_for
+// returns) like Registry::zero(); events overwritten mid-copy are detected
+// and dropped, never corrupted.
 #pragma once
 
 #include <array>

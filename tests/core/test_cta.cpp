@@ -194,6 +194,38 @@ TEST(Cta, MembraneBreakFlagsStatus) {
   EXPECT_FALSE(anemo.status().membrane_intact);
 }
 
+// A field reboot power-cycles the electronics only. The platform it leaves
+// is byte for byte a freshly built twin's, with the loop back on its
+// bootstrap floor, while the clock keeps running and the plant keeps its
+// damage: a broken membrane stays broken, a wet package stays wet.
+TEST(Cta, RebootRestartsTheElectronicsOnly) {
+  auto anemo = make_anemo(29);
+  auto twin = make_anemo(29);
+  const auto platform_bytes = [](CtaAnemometer& a) {
+    state::Writer w;
+    a.platform().save_state(w);
+    return w.take();
+  };
+  anemo.run(Seconds{0.5}, water_at(0.6));
+  anemo.die().damage_membrane();
+  anemo.package().inject_moisture(0.3);
+  const double moisture = anemo.package().moisture();
+  const double t_before = anemo.now().value();
+  ASSERT_NE(platform_bytes(anemo), platform_bytes(twin));
+
+  anemo.reboot();
+  EXPECT_EQ(platform_bytes(anemo), platform_bytes(twin));
+  EXPECT_EQ(anemo.control_output(), twin.control_output());
+  EXPECT_EQ(anemo.filtered_voltage(), twin.filtered_voltage());
+  EXPECT_EQ(anemo.direction_signal(), twin.direction_signal());
+  EXPECT_EQ(anemo.tick_phase(), 0);
+  EXPECT_GT(t_before, 0.0);
+  EXPECT_EQ(anemo.now().value(), t_before);
+  EXPECT_FALSE(anemo.die().membrane_intact());
+  EXPECT_GT(moisture, 0.0);
+  EXPECT_EQ(anemo.package().moisture(), moisture);
+}
+
 TEST(Cta, ConfigValidation) {
   CtaConfig bad;
   bad.pulse.enabled = true;

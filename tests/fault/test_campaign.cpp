@@ -17,6 +17,7 @@
 #include "fault/campaign.hpp"
 #include "fleet/fleet.hpp"
 #include "fleet/supervisor.hpp"
+#include "obs/metrics.hpp"
 #include "util/thread_pool.hpp"
 
 namespace aqua::fault {
@@ -338,6 +339,39 @@ TEST(FaultCampaignEndToEnd, SerialAndParallelCampaignsAreBitIdentical) {
               parallel.outcomes[k].recovered_t_s);
   }
   EXPECT_EQ(serial_states, parallel_states);
+}
+
+// Every epoch advances every sensor exactly once, whatever its health: a
+// quarantined sensor keeps integrating, and a due re-commission rides the
+// same claimed item as its advance. So over a pooled, supervised campaign
+// the `fleet.sensor_steps` delta is sensors × epochs, and every trace holds
+// one sample per epoch.
+TEST(FaultCampaignEndToEnd, PooledCampaignStepsEverySensorEveryEpoch) {
+  const auto sensor_steps = [] {
+    for (const obs::CounterSnapshot& c :
+         obs::Registry::instance().snapshot().counters)
+      if (c.name == "fleet.sensor_steps") return c.value;
+    return std::uint64_t{0};
+  };
+  District d = make_district();
+  fleet::FleetEngine engine(d.net, d.placements, make_config());
+  engine.set_shared_fit(cta::KingFit{0.9, 1.1, 0.5});
+  util::ThreadPool pool{4};
+  engine.commission(Seconds{0.2}, &pool);
+  fleet::FleetSupervisor supervisor(engine, make_supervisor_config());
+
+  const std::uint64_t before = sensor_steps();
+  const CampaignSummary s = run_campaign(
+      engine, supervisor, make_scripted_campaign(), Seconds{12.0}, &pool);
+  const std::uint64_t steps = sensor_steps() - before;
+
+  ASSERT_GT(supervisor.stats().quarantines, 0);
+  ASSERT_GT(s.epochs, 0);
+  EXPECT_EQ(steps, engine.size() * static_cast<std::uint64_t>(s.epochs));
+  for (std::size_t i = 0; i < engine.size(); ++i)
+    EXPECT_EQ(engine.node(i).trace().size(),
+              static_cast<std::size_t>(s.epochs))
+        << "sensor " << i;
 }
 
 // 64-bit FNV-1a over a string's bytes.

@@ -1,6 +1,6 @@
 // The headline tests of the fleet engine: the same root seed must produce
 // bit-identical per-sensor traces for ANY thread count — serial on the
-// caller's thread, or fanned out over a work-stealing pool of 1, 2 or 8
+// caller's thread, or fanned out over a thread pool of 1, 2 or 8
 // workers. This is the determinism contract documented in fleet.hpp; any
 // shared mutable state or scheduling-order dependence breaks it.
 #include <bit>
@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "core/rig.hpp"
+#include "fault/campaign.hpp"
 #include "fleet/fleet.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -123,7 +124,7 @@ TEST(FleetDeterminism, BitIdenticalTracesAtOneTwoAndEightThreads) {
 
 TEST(FleetDeterminism, SerialVsParallelEquivalenceOnTenSensorNetwork) {
   const auto serial = run_traces(0, 42);    // no pool: caller's thread
-  const auto parallel = run_traces(8, 42);  // work-stealing fan-out
+  const auto parallel = run_traces(8, 42);  // pooled fan-out
   ASSERT_EQ(serial.size(), 10u);
   expect_bit_identical(serial, parallel, "serial vs 8-thread pool");
 }
@@ -185,8 +186,8 @@ std::uint64_t scrape_counter(const std::string& name) {
 TEST(FleetDeterminism, DatapathCountersMatchAcrossThreadCounts) {
   // Counters driven by the simulation datapath (samples, epochs, PI events)
   // are part of the deterministic surface: serial and pooled runs must count
-  // exactly the same events. (Thread-pool steal counts are scheduling noise
-  // and deliberately excluded.)
+  // exactly the same events. (Thread-pool task counts depend on the thread
+  // count, not the datapath, and are deliberately excluded.)
   const char* const kDeterministicCounters[] = {
       "fleet.epochs",
       "fleet.sensor_steps",
@@ -260,13 +261,7 @@ TEST(FleetDeterminism, BenchFleetScenarioReproducesTheCommittedChecksum) {
   engine.run(Seconds{4.0});
   ASSERT_EQ(engine.size(), 32u);
 
-  std::uint64_t checksum = 0;
-  for (std::size_t i = 0; i < engine.size(); ++i)
-    for (const TraceSample& s : engine.node(i).trace()) {
-      checksum ^= std::bit_cast<std::uint64_t>(s.bridge_voltage);
-      checksum ^= std::bit_cast<std::uint64_t>(s.estimate_mps) * 0x9E37u;
-      checksum ^= std::bit_cast<std::uint64_t>(s.true_mean_mps) * 0x85EBu;
-    }
+  const std::uint64_t checksum = fault::fleet_trace_checksum(engine);
   EXPECT_EQ(checksum, 0x63ffe924fe51d05eull) << std::hex << checksum;
 }
 

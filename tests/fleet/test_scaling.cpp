@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "core/rig.hpp"
+#include "fault/campaign.hpp"
 #include "fleet/fleet.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -70,17 +71,6 @@ FleetConfig make_config() {
   cfg.epoch = Seconds{0.02};
   cfg.demand_factor = diurnal_demand_pattern(Seconds{4.0});
   return cfg;
-}
-
-std::uint64_t trace_checksum(const FleetEngine& engine) {
-  std::uint64_t checksum = 0;
-  for (std::size_t i = 0; i < engine.size(); ++i)
-    for (const TraceSample& s : engine.node(i).trace()) {
-      checksum ^= std::bit_cast<std::uint64_t>(s.bridge_voltage);
-      checksum ^= std::bit_cast<std::uint64_t>(s.estimate_mps) * 0x9E37u;
-      checksum ^= std::bit_cast<std::uint64_t>(s.true_mean_mps) * 0x85EBu;
-    }
-  return checksum;
 }
 
 void expect_traces_equal(const FleetEngine& a, const FleetEngine& b,
@@ -151,7 +141,7 @@ std::uint64_t run_fleet(unsigned threads, std::size_t replicas,
     for (std::size_t i = 0; i < engine.size(); ++i)
       *sample_count += engine.node(i).trace().size();
   }
-  return trace_checksum(engine);
+  return fault::fleet_trace_checksum(engine);
 }
 
 TEST(FleetScaling, ThousandSensorsBitIdenticalAcrossThreadCounts) {

@@ -37,7 +37,7 @@ TEST(EndToEnd, CalibratedReadingsTrackReferenceWithinTwoPercentFs) {
     maf::Environment env = rig.line().environment();
     env.speed = util::metres_per_second(
         mean * rig.profile_factor_at(util::metres_per_second(mean)));
-    const double u = rig.settled_voltage(env, Seconds{1.0});
+    const double u = rig.anemometer().settled_voltage(env, Seconds{1.0});
     const double measured = est.speed_for(u).value();
     const double err_fs = std::abs(measured - mean) / 2.5;
     EXPECT_LT(err_fs, 0.02) << "mean " << mean << " measured " << measured;
@@ -55,18 +55,18 @@ TEST(EndToEnd, RepeatabilityWithinOnePercentFs) {
     // Move away, then come back to the setpoint — a repeatability pass.
     maf::Environment away = env;
     away.speed = util::metres_per_second(rep % 2 == 0 ? 0.3 : 2.0);
-    (void)rig.settled_voltage(away, Seconds{0.4});
-    readings.add(rig.settled_voltage(env, Seconds{0.8}));
+    (void)rig.anemometer().settled_voltage(away, Seconds{0.4});
+    readings.add(rig.anemometer().settled_voltage(env, Seconds{0.8}));
   }
   // Convert the voltage spread to velocity via a local slope estimate.
-  const double u_lo = rig.settled_voltage(
+  const double u_lo = rig.anemometer().settled_voltage(
       [&] {
         maf::Environment e = env;
         e.speed = util::metres_per_second(0.95);
         return e;
       }(),
       Seconds{0.8});
-  const double u_hi = rig.settled_voltage(
+  const double u_hi = rig.anemometer().settled_voltage(
       [&] {
         maf::Environment e = env;
         e.speed = util::metres_per_second(1.05);
@@ -144,7 +144,9 @@ TEST(EndToEnd, SensorReadsBelowTurbineStall) {
   maf::Environment env = rig.line().environment();
   env.speed = util::metres_per_second(
       mean * rig.profile_factor_at(util::metres_per_second(mean)));
-  const double measured = est.speed_for(rig.settled_voltage(env, Seconds{1.0})).value();
+  const double measured =
+      est.speed_for(rig.anemometer().settled_voltage(env, Seconds{1.0}))
+          .value();
   EXPECT_NEAR(measured, mean, 0.03);
 
   // Meanwhile the turbine at this speed reads zero.
@@ -171,7 +173,7 @@ TEST(EndToEnd, AmbientTemperatureDriftCompensatedByFirmware) {
   env.speed = util::metres_per_second(
       1.0 * rig.profile_factor_at(util::metres_per_second(1.0)));
   env.fluid_temperature = util::celsius(22.0);
-  const double u = rig.settled_voltage(env, Seconds{1.0});
+  const double u = rig.anemometer().settled_voltage(env, Seconds{1.0});
 
   const double raw = est.speed_for(u).value();
   const double compensated = est.speed_for(u, util::celsius(22.0)).value();

@@ -56,8 +56,8 @@ TEST(VinciRig, SettledVoltageRepeatable) {
   rig.commission(Seconds{1.5});
   maf::Environment env = rig.line().environment();
   env.speed = util::metres_per_second(1.0);
-  const double u1 = rig.settled_voltage(env, Seconds{1.5});
-  const double u2 = rig.settled_voltage(env, Seconds{1.5});
+  const double u1 = rig.anemometer().settled_voltage(env, Seconds{1.5});
+  const double u2 = rig.anemometer().settled_voltage(env, Seconds{1.5});
   EXPECT_NEAR(u1, u2, 0.01 * u1);
 }
 

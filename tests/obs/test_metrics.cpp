@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -199,6 +200,50 @@ TEST(ObsRegistry, ZeroClearsEveryMetricKind) {
   const auto* hs = find_histogram(snap, "test.zero.hist");
   EXPECT_EQ(hs->count, 0u);
   for (const auto c : hs->counts) EXPECT_EQ(c, 0u);
+}
+
+// At a quiescent point every histogram's total is the sum of its buckets: an
+// observation lands in exactly one bucket (NaN and out-of-range values in
+// the under/overflow ones) and counts once, whichever thread's shard takes
+// it. zero() keeps the invariant.
+TEST(ObsHistogram, CountEqualsBucketSumAtAQuiescentPoint) {
+  const obs::Histogram hist{"test.hist.invariant",
+                            obs::HistogramSpec{0.0, 1.0, 8, false}};
+  const auto count_of = [](const obs::Snapshot& snap) {
+    const auto* h = find_histogram(snap, "test.hist.invariant");
+    return h != nullptr ? h->count : 0;
+  };
+  const auto expect_buckets_sum_to_count = [](const obs::Snapshot& snap) {
+    for (const obs::HistogramSnapshot& h : snap.histograms) {
+      std::uint64_t sum = 0;
+      for (const std::uint64_t c : h.counts) sum += c;
+      EXPECT_EQ(sum, h.count) << h.name;
+    }
+  };
+  const std::uint64_t before =
+      count_of(obs::Registry::instance().snapshot());
+
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 5000;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&hist, t] {
+      for (int i = 0; i < kPerThread; ++i)
+        hist.observe(i % 97 == 0 ? std::nan("")
+                                 : (i * 7 + t) % 23 / 20.0 - 0.05);
+    });
+  for (auto& th : threads) th.join();
+
+  const obs::Snapshot snap = obs::Registry::instance().snapshot();
+  EXPECT_EQ(count_of(snap) - before,
+            static_cast<std::uint64_t>(kThreads * kPerThread));
+  expect_buckets_sum_to_count(snap);
+
+  obs::Registry::instance().zero();
+  const obs::Snapshot zeroed = obs::Registry::instance().snapshot();
+  EXPECT_EQ(count_of(zeroed), 0u);
+  expect_buckets_sum_to_count(zeroed);
 }
 
 TEST(ObsScopedTimer, ObservesElapsedSeconds) {

@@ -5,7 +5,6 @@
 // checksum, same campaign summary — serially and on 8 threads. The fleet
 // scenario is pinned to a committed checksum, so resume correctness and the
 // historical determinism contract are one and the same assertion.
-#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -76,24 +75,13 @@ FleetConfig make_config() {
   return cfg;
 }
 
-std::uint64_t trace_checksum(const FleetEngine& engine) {
-  std::uint64_t c = 0;
-  for (std::size_t i = 0; i < engine.size(); ++i)
-    for (const fleet::TraceSample& s : engine.node(i).trace()) {
-      c ^= std::bit_cast<std::uint64_t>(s.bridge_voltage);
-      c ^= std::bit_cast<std::uint64_t>(s.estimate_mps) * 0x9E37u;
-      c ^= std::bit_cast<std::uint64_t>(s.true_mean_mps) * 0x85EBu;
-    }
-  return c;
-}
-
 std::uint64_t uninterrupted_checksum() {
   District d = make_district();
   FleetEngine engine(d.net, d.placements, make_config());
   engine.set_shared_fit(cta::KingFit{0.9, 1.1, 0.5});
   engine.commission(Seconds{0.2});
   engine.run(Seconds{0.75});
-  return trace_checksum(engine);
+  return fault::fleet_trace_checksum(engine);
 }
 
 /// Commissions an engine, steps `kill_after` of the 3 epochs, checkpoints,
@@ -116,7 +104,7 @@ std::uint64_t resumed_checksum(int kill_after, int threads) {
   FleetEngine fresh(d.net, d.placements, make_config());
   fresh.restore(image);
   fresh.run(Seconds{0.25 * (3 - kill_after)}, pool.get());
-  return trace_checksum(fresh);
+  return fault::fleet_trace_checksum(fresh);
 }
 
 TEST(KillAndResume, ScalarFleetResumesBitIdentically) {
@@ -229,7 +217,7 @@ TEST(KillAndResume, ManagerFallbackResumesAfterTornNewestCheckpoint) {
   FleetEngine fresh(d.net, d.placements, make_config());
   fresh.restore(loaded->image);
   fresh.run(Seconds{0.5});
-  EXPECT_EQ(trace_checksum(fresh), expected);
+  EXPECT_EQ(fault::fleet_trace_checksum(fresh), expected);
   fs::remove_all(dir);
 }
 

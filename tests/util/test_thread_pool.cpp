@@ -4,37 +4,26 @@
 
 #include <atomic>
 #include <chrono>
-#include <memory>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
+
+#include "obs/trace.hpp"
 
 namespace aqua::util {
 namespace {
 
-TEST(ThreadPool, SubmitReturnsTaskResult) {
-  ThreadPool pool{2};
-  auto f = pool.submit([] { return 6 * 7; });
-  EXPECT_EQ(f.get(), 42);
-}
-
 TEST(ThreadPool, CompletesAllTasksUnderContention) {
-  // Many more tasks than workers, all hammering one atomic: every task must
-  // run exactly once regardless of which queue it lands in or who steals it.
+  // Many more indices than workers, all hammering one atomic: every index
+  // must run exactly once whichever worker claims it.
   ThreadPool pool{4};
   std::atomic<int> count{0};
-  std::vector<std::future<void>> futures;
-  futures.reserve(1000);
-  for (int i = 0; i < 1000; ++i)
-    futures.push_back(pool.submit([&count] {
-      count.fetch_add(1, std::memory_order_relaxed);
-    }));
-  for (auto& f : futures) f.get();
-  // A worker readies a task's future before it retires the task, so a ready
-  // future does not yet mean in_flight() has dropped: wait for idle first.
-  pool.wait_idle();
+  pool.parallel_for(1000, [&count](std::size_t) {
+    count.fetch_add(1, std::memory_order_relaxed);
+  });
   EXPECT_EQ(count.load(), 1000);
-  EXPECT_EQ(pool.in_flight(), 0u);
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
@@ -45,82 +34,140 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
-TEST(ThreadPool, ExceptionPropagatesToCallerThroughFuture) {
-  ThreadPool pool{2};
-  auto f = pool.submit(
-      []() -> int { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-  // The pool survives a throwing task.
-  EXPECT_EQ(pool.submit([] { return 1; }).get(), 1);
-}
-
 TEST(ThreadPool, ParallelForRethrowsAfterFinishingOtherBlocks) {
   ThreadPool pool{3};
-  std::atomic<int> completed{0};
-  EXPECT_THROW(
-      pool.parallel_for(100,
-                        [&](std::size_t i) {
-                          if (i == 37) throw std::invalid_argument("bad index");
-                          completed.fetch_add(1);
-                        }),
-      std::invalid_argument);
-  // The rethrow happens only after every block finished: at most the tail of
-  // the one chunk that threw (≤ ⌈100/12⌉ indices) may be missing.
-  EXPECT_GE(completed.load(), 90);
-  EXPECT_LE(completed.load(), 99);
-}
-
-TEST(ThreadPool, GracefulShutdownDrainsQueuedWork) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool{2};
-    for (int i = 0; i < 200; ++i)
-      (void)pool.submit([&count] {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-        count.fetch_add(1);
-      });
-    // Destructor runs with most of the queue still pending.
-  }
-  EXPECT_EQ(count.load(), 200);
-}
-
-TEST(ThreadPool, WaitIdleBlocksUntilQueueEmpty) {
-  ThreadPool pool{2};
-  std::atomic<int> count{0};
-  for (int i = 0; i < 50; ++i)
-    (void)pool.submit([&count] {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      count.fetch_add(1);
+  std::vector<std::atomic<int>> hits(100);
+  try {
+    pool.parallel_for(hits.size(), [&](std::size_t i) {
+      hits[i].fetch_add(1);
+      if (i == 61) throw std::invalid_argument("index 61");
+      if (i == 37) {
+        // The lower index fails last, so "first to fail" would pick 61.
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        throw std::invalid_argument("index 37");
+      }
     });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 50);
-  EXPECT_EQ(pool.in_flight(), 0u);
-}
-
-TEST(ThreadPool, NestedSubmitFromWorkerCompletes) {
-  // A task spawning a subtask exercises the worker-local LIFO path.
-  ThreadPool pool{2};
-  auto outer = pool.submit([&pool] {
-    auto inner = pool.submit([] { return 7; });
-    return inner.get() + 1;
-  });
-  EXPECT_EQ(outer.get(), 8);
+    FAIL() << "parallel_for returned normally";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string_view{e.what()}, "index 37");
+  }
+  // The rethrow comes only after every index ran, the failing ones included.
+  for (std::size_t i = 0; i < hits.size(); ++i)
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
 TEST(ThreadPool, DefaultsToAtLeastOneThread) {
   ThreadPool pool;  // hardware concurrency, whatever the machine offers
   EXPECT_GE(pool.thread_count(), 1u);
-  EXPECT_EQ(pool.submit([] { return 3; }).get(), 3);
+  std::atomic<int> count{0};
+  pool.parallel_for(3, [&count](std::size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 3);
 }
 
 TEST(ThreadPool, SingleThreadPoolStillDrainsManyTasks) {
   ThreadPool pool{1};
   std::atomic<int> count{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 300; ++i)
-    futures.push_back(pool.submit([&count] { count.fetch_add(1); }));
-  for (auto& f : futures) f.get();
+  pool.parallel_for(300, [&count](std::size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 300);
+}
+
+TEST(ThreadPool, NestedParallelForFromAWorkerIsRefused) {
+  ThreadPool pool{2};
+  EXPECT_THROW(pool.parallel_for(4,
+                                 [&pool](std::size_t) {
+                                   pool.parallel_for(1, [](std::size_t) {});
+                                 }),
+               std::logic_error);
+  // The refusal leaves the pool usable.
+  std::atomic<int> count{0};
+  pool.parallel_for(8, [&count](std::size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 8);
+}
+
+TEST(ThreadPool, TwoOutsideCallersRunOneAfterTheOther) {
+  ThreadPool pool{4};
+  std::atomic<int> running[2] = {0, 0};
+  std::atomic<int> done[2] = {0, 0};
+  std::atomic<int> overlaps{0};
+  const auto call = [&](int c) {
+    for (int rep = 0; rep < 20; ++rep)
+      pool.parallel_for(16, [&, c](std::size_t) {
+        running[c].fetch_add(1);
+        if (running[1 - c].load() != 0) overlaps.fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+        running[c].fetch_sub(1);
+        done[c].fetch_add(1);
+      });
+  };
+  std::thread a{call, 0};
+  std::thread b{call, 1};
+  a.join();
+  b.join();
+  EXPECT_EQ(done[0].load(), 20 * 16);
+  EXPECT_EQ(done[1].load(), 20 * 16);
+  EXPECT_EQ(overlaps.load(), 0);
+}
+
+TEST(ThreadPool, FewerIndicesThanWorkers) {
+  // Most workers find the job finished, or every index claimed, when they
+  // wake; none may run an index twice or hold the caller up.
+  ThreadPool pool{8};
+  for (int rep = 0; rep < 200; ++rep) {
+    const std::size_t n = 1 + static_cast<std::size_t>(rep % 3);
+    std::vector<std::atomic<int>> hits(n);
+    pool.parallel_for(n, [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < n; ++i)
+      ASSERT_EQ(hits[i].load(), 1) << "rep " << rep << " index " << i;
+  }
+}
+
+TEST(ThreadPool, ConstructThenDestroyWithNoJob) {
+  for (int rep = 0; rep < 50; ++rep) {
+    ThreadPool pool{4};
+    EXPECT_EQ(pool.thread_count(), 4u);
+  }
+}
+
+// Spans named `name` whose begin and end both sit on one track, or -1 if any
+// track holds an end without its begin or a begin without its end.
+long long closed_spans(const obs::TraceSnapshot& snap, std::string_view name) {
+  long long count = 0;
+  for (const obs::TraceTrack& track : snap.tracks) {
+    std::vector<const char*> open;
+    for (const obs::TraceEvent& ev : track.events) {
+      if (ev.kind == obs::TraceEventKind::kSpanBegin) {
+        open.push_back(ev.name);
+      } else if (ev.kind == obs::TraceEventKind::kSpanEnd) {
+        if (open.empty() || std::string_view{open.back()} != ev.name) return -1;
+        if (name == ev.name) ++count;
+        open.pop_back();
+      }
+    }
+    if (!open.empty()) return -1;
+  }
+  return count;
+}
+
+// The quiescence contract: once parallel_for returns, every index's
+// `pool.task` span is closed and no worker emits another event, so a
+// snapshot taken there holds exactly n closed spans and nothing unmatched.
+TEST(ThreadPool, ReturnedParallelForLeavesNoOpenSpan) {
+  ThreadPool pool{4};
+  obs::TraceRecorder& recorder = obs::TraceRecorder::instance();
+  recorder.clear();
+  obs::TraceRecorder::set_enabled(true);
+  for (int rep = 0; rep < 20; ++rep) {
+    for (const std::size_t n : {3u, 4u, 9u}) {
+      pool.parallel_for(n, [](std::size_t) {});
+      const obs::TraceSnapshot snap = recorder.snapshot();
+      recorder.clear();
+      EXPECT_EQ(snap.dropped_total, 0u) << "n " << n;
+      EXPECT_EQ(closed_spans(snap, "pool.task"), static_cast<long long>(n))
+          << "n " << n;
+    }
+  }
+  obs::TraceRecorder::set_enabled(false);
+  recorder.clear();
 }
 
 }  // namespace
