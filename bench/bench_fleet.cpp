@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <string>
@@ -403,9 +404,28 @@ RunResult run_mode(unsigned threads, double sim_seconds) {
   return r;
 }
 
-/// Machine-readable result file (CI artifact): per-mode timings/checksums plus
-/// the merged metrics snapshot — epoch/step latency histograms, channel
-/// overload and PI saturation counters accumulated over every mode.
+/// The "host" object of the report: ci/bench_compare.py gates the absolute
+/// channel rates only against a baseline recorded on the same host.
+std::string host_json(unsigned hw) {
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.starts_with("model name")) {
+      const std::size_t value = line.find_first_not_of(" \t:", 10);
+      if (value != std::string::npos) cpu = line.substr(value);
+      break;
+    }
+  }
+  return "  \"host\": {\"cpu_model\": \"" + obs::escape_json_string(cpu) +
+         "\", \"hardware_threads\": " + std::to_string(hw) +
+         ", \"compiler\": \"" + obs::escape_json_string(__VERSION__) +
+         "\", \"build_type\": \"" + AQUA_BENCH_BUILD_TYPE + "\"},\n";
+}
+
+/// Machine-readable result file (CI artifact): the host, per-mode
+/// timings/checksums plus the merged metrics snapshot — epoch/step latency
+/// histograms, channel overload and PI saturation counters accumulated over
+/// every mode.
 void write_json_report(const std::vector<std::pair<std::string, RunResult>>& modes,
                        const StageRates& stages, const ScalingReport& scaling,
                        const CheckpointOverhead& ckpt, unsigned hw,
@@ -415,6 +435,7 @@ void write_json_report(const std::vector<std::pair<std::string, RunResult>>& mod
 
   std::string out;
   out += "{\n  \"bench\": \"bench_fleet\",\n";
+  out += host_json(hw);
   out += std::string("  \"deterministic\": ") +
          (deterministic ? "true" : "false") + ",\n";
   out += "  \"modes\": [\n";

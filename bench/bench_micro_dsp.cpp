@@ -199,6 +199,28 @@ void BM_MafDieStep(benchmark::State& state) {
 }
 BENCHMARK(BM_MafDieStep);
 
+// One die step as a fleet sensor takes it: at the 16 kHz modulator tick,
+// with the environment-only terms computed once, as tick_frame() computes
+// them once per frame. A clean wall in still water (Arg 0) and at 0.2 m/s
+// (Arg 200, in mm/s).
+void BM_MafDieStepWithTerms(benchmark::State& state) {
+  maf::MafDie die{maf::MafSpec{}};
+  maf::Environment env;
+  env.speed = util::metres_per_second(1e-3 * static_cast<double>(state.range(0)));
+  die.set_heater_powers(util::milliwatts(5.0), util::milliwatts(5.0),
+                        util::milliwatts(1.0));
+  const maf::MafDie::StepTerms terms = die.step_terms(env);
+  const util::Seconds dt{1.0 / 16000.0};
+  for (auto _ : state) {
+    die.step(dt, env, terms);
+    benchmark::DoNotOptimize(die.heater_a_resistance());
+  }
+  if (die.fouling_a().deposit_thickness() != 0.0)
+    state.SkipWithError("the wall is not clean");
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MafDieStepWithTerms)->Arg(0)->Arg(200);
+
 void BM_FullAnemometerTick(benchmark::State& state) {
   util::Rng rng{3};
   cta::CtaAnemometer anemo{maf::MafSpec{}, cta::fast_isif_config(),

@@ -20,14 +20,27 @@
 // The die is purely electro-thermal: the conditioning electronics (core/)
 // solves the bridge, injects the resulting Joule powers via set_heater_powers,
 // and reads back the temperature-dependent resistances.
+//
+// The network is stiff (a heater's time constant is ~0.2 ms, experiments run
+// for minutes), so each step relaxes every capacitive node analytically
+// toward the temperature its neighbours and power imply:
+//
+//   T⁺ = T∞ + (T − T∞)·exp(−dt·ΣG/C),  T∞ = (Σ G_i·T_i + P) / ΣG
+//
+// which is unconditionally stable and exact for a node with frozen
+// neighbours. The film conductances follow the flow, the wall temperatures
+// and the fouling at every step.
 #pragma once
+
+#include <array>
+#include <cstddef>
 
 #include "maf/environment.hpp"
 #include "maf/fouling.hpp"
 #include "phys/convection.hpp"
 #include "phys/membrane.hpp"
 #include "phys/resistor.hpp"
-#include "phys/thermal.hpp"
+#include "state/serial.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -141,23 +154,41 @@ class MafDie {
   [[nodiscard]] const MafSpec& spec() const { return spec_; }
 
   /// Checkpoint support: fouling surfaces, thermal state and the latched
-  /// membrane flag. The R0 tolerance draws are part properties, reproduced by
-  /// reconstruction.
-  void save_state(state::Writer& w) const {
-    fouling_a_.save_state(w);
-    fouling_b_.save_state(w);
-    net_.save_state(w);
-    w.boolean(membrane_intact_);
-  }
-  void load_state(state::Reader& r) {
-    fouling_a_.load_state(r);
-    fouling_b_.load_state(r);
-    net_.load_state(r);
-    membrane_intact_ = r.boolean();
-  }
+  /// membrane flag. The thermal state is 7 nodes as (temperature, power) —
+  /// heater A, heater B, reference, then the fluid, local A, local B and
+  /// substrate boundaries with zero power — and the 8 edge conductances in
+  /// Edge order. The R0 tolerance draws are part properties, reproduced by
+  /// reconstruction. load_state refuses values a running die cannot hold: a
+  /// non-finite temperature, power or conductance, a negative conductance or
+  /// a non-zero boundary power.
+  void save_state(state::Writer& w) const;
+  void load_state(state::Reader& r);
 
  private:
+  /// The network's edges, in the order their conductances are checkpointed
+  /// and summed: each heater's film, the reference's film, the in-plane A–B
+  /// coupling, each heater's rim edge and each heater's backside path.
+  enum Edge : std::size_t {
+    kConvA, kConvB, kConvRef, kAB, kEdgeA, kEdgeB, kBackA, kBackB, kEdgeCount
+  };
+  /// Σg and Σg·T over one node's edges, added from 0.0 in increasing edge id.
+  struct EdgeSums {
+    double g = 0.0;
+    double gt = 0.0;
+    void add(double g_edge, double t_other) {
+      g += g_edge;
+      gt += g_edge * t_other;
+    }
+  };
+
+  /// Checks the spec's capacitances and membrane conductances, then resets.
   void build_network();
+  /// As-built thermal state: 15 °C everywhere, no power, zero film
+  /// conductances and the membrane's fixed ones.
+  void reset_network();
+  [[nodiscard]] EdgeSums heater_a_sums() const;
+  [[nodiscard]] EdgeSums heater_b_sums() const;
+  [[nodiscard]] EdgeSums reference_sums() const;
   [[nodiscard]] double wake_coupling(const Environment& env) const;
   void update_conductances(const Environment& env, double wake_coupling);
 
@@ -168,12 +199,13 @@ class MafDie {
   FoulingState fouling_a_;
   FoulingState fouling_b_;
 
-  phys::ThermalNetwork net_;
-  phys::ThermalNetwork::NodeId n_heater_a_{}, n_heater_b_{}, n_reference_{};
-  phys::ThermalNetwork::NodeId n_fluid_{}, n_local_a_{}, n_local_b_{}, n_substrate_{};
-  phys::ThermalNetwork::EdgeId e_conv_a_{}, e_conv_b_{}, e_conv_ref_{};
-  phys::ThermalNetwork::EdgeId e_ab_{}, e_edge_a_{}, e_edge_b_{};
-  phys::ThermalNetwork::EdgeId e_back_a_{}, e_back_b_{};
+  // Capacitive nodes (K, W).
+  double t_a_ = 0.0, t_b_ = 0.0, t_ref_ = 0.0;
+  double p_a_ = 0.0, p_b_ = 0.0, p_ref_ = 0.0;
+  // Boundary temperatures (K): bulk fluid, each heater's local fluid (the
+  // downstream one warmed by the wake) and the substrate.
+  double t_fluid_ = 0.0, t_local_a_ = 0.0, t_local_b_ = 0.0, t_substrate_ = 0.0;
+  std::array<double, kEdgeCount> g_{};  // W/K
 
   bool membrane_intact_ = true;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace aqua::maf {
 
@@ -9,12 +10,24 @@ using util::Kelvin;
 using util::Seconds;
 using util::SquareMetres;
 
+namespace {
+/// How far below the saturation temperature a clean wall must be for step()
+/// to skip its deposit rate. It moves the solubility by ~2e-8 relative,
+/// about 1e8 times the rounding of either evaluation.
+constexpr double kSaturationMargin = 1e-6;  // K
+}  // namespace
+
 FoulingDrive fouling_drive(const Environment& env) {
+  const double scaling = phys::scaling_drive(env.chemistry);
   return FoulingDrive{
       phys::bubble_onset_overtemperature(env.fluid_temperature, env.pressure,
                                          env.dissolved_gas_saturation)
           .value(),
-      phys::scaling_drive(env.chemistry)};
+      scaling,
+      std::isfinite(scaling)
+          ? phys::caco3_saturation_temperature(scaling).value() -
+                kSaturationMargin
+          : std::numeric_limits<double>::quiet_NaN()};
 }
 
 FoulingState::FoulingState(const FoulingParameters& params) : params_(params) {}
@@ -36,6 +49,13 @@ void FoulingState::step(Seconds dt, Kelvin wall_temperature,
   bubble_coverage_ = std::clamp(bubble_coverage_ + h * (grow - shed), 0.0, 0.95);
 
   // --- CaCO3 deposit: inverse-solubility kinetics at the wall temperature.
+  // A clean wall below the saturation temperature keeps its +0.0: the rate
+  // there is exactly 0 and max(0, 0 + h·0) is +0.0, so the solubility is
+  // not evaluated.
+  const double wall = wall_temperature.value();
+  if (deposit_thickness_ == 0.0 && std::isfinite(wall) &&
+      wall < drive.saturation_wall)
+    return;
   const double rate = phys::deposit_growth_rate(
       params_.scaling, drive.scaling_drive, wall_temperature,
       deposit_thickness_);
@@ -63,6 +83,17 @@ void FoulingState::set_bubble_coverage(double coverage) {
 
 void FoulingState::set_deposit_thickness(double thickness_m) {
   deposit_thickness_ = std::max(0.0, thickness_m);
+}
+
+void FoulingState::load_state(state::Reader& r) {
+  const double coverage = r.f64();
+  const double deposit = r.f64();
+  if (!(coverage >= 0.0 && coverage <= 0.95))
+    throw state::Error("FoulingState: bubble coverage outside [0, 0.95]");
+  if (std::signbit(deposit) || !std::isfinite(deposit))
+    throw state::Error("FoulingState: negative or non-finite deposit");
+  bubble_coverage_ = coverage;
+  deposit_thickness_ = deposit;
 }
 
 }  // namespace aqua::maf

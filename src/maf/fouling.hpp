@@ -32,6 +32,11 @@ struct FoulingDrive {
   double bubble_onset = 0.0;
   /// phys::scaling_drive of the water chemistry (mg/L as CaCO3).
   double scaling_drive = 0.0;
+  /// Wall temperature (K) below which a clean wall grows no deposit: the
+  /// phys::caco3_saturation_temperature of scaling_drive, less a 1e-6 K
+  /// margin that keeps every wall below it undersaturated after rounding.
+  /// NaN for a non-finite drive, so no wall is below it.
+  double saturation_wall = 0.0;
 };
 
 [[nodiscard]] FoulingDrive fouling_drive(const Environment& env);
@@ -81,15 +86,14 @@ class FoulingState {
   void set_parameters(const FoulingParameters& p) { params_ = p; }
 
   /// Checkpoint support: the two surface states, bypassing the clamping
-  /// setters so restore is exact.
+  /// setters so restore is exact. load_state refuses what no running surface
+  /// holds — a coverage outside [0, 0.95], or a deposit that is negative,
+  /// -0.0 or not finite — and then leaves the state as it was.
   void save_state(state::Writer& w) const {
     w.f64(bubble_coverage_);
     w.f64(deposit_thickness_);
   }
-  void load_state(state::Reader& r) {
-    bubble_coverage_ = r.f64();
-    deposit_thickness_ = r.f64();
-  }
+  void load_state(state::Reader& r);
 
  private:
   FoulingParameters params_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace aqua::phys {
@@ -9,14 +10,33 @@ namespace aqua::phys {
 using util::Kelvin;
 using util::SquareMetres;
 
+namespace {
+// Effective (CO2-equilibrated) solubility of CaCO3 in potable water,
+// retrograde with temperature: kAnchor mg/L at kAnchorCelsius, falling by a
+// factor e every 1/kSlope kelvin. Anchored so that typical hard tap water
+// (~250-300 mg/L as CaCO3) sits near saturation at distribution temperatures
+// and becomes supersaturated on heated walls — the regime the paper's heater
+// operates in (Eq. 3).
+constexpr double kAnchor = 330.0;         // mg/L as CaCO3
+constexpr double kAnchorCelsius = 15.0;   // °C
+constexpr double kSlope = 0.022;          // 1/K
+// The most negative exponent caco3_saturation_temperature answers for:
+// exp(-700) ≈ 1e-304 is still a normal double, so the forward fit keeps its
+// full precision at every wall below the returned temperature.
+constexpr double kMinExponent = -700.0;
+}  // namespace
+
 double caco3_solubility_mg_per_l(Kelvin t) {
   const double tc = util::to_celsius(t);
-  // Effective (CO2-equilibrated) solubility of CaCO3 in potable water,
-  // retrograde with temperature. Anchored so that typical hard tap water
-  // (~250-300 mg/L as CaCO3) sits near saturation at distribution
-  // temperatures and becomes supersaturated on heated walls — the regime the
-  // paper's heater operates in (Eq. 3).
-  return 330.0 * std::exp(-0.022 * (tc - 15.0));
+  return kAnchor * std::exp(-kSlope * (tc - kAnchorCelsius));
+}
+
+Kelvin caco3_saturation_temperature(double drive_mg_per_l) {
+  if (drive_mg_per_l <= 0.0)
+    return Kelvin{std::numeric_limits<double>::infinity()};
+  const double exponent =
+      std::max(std::log(drive_mg_per_l / kAnchor), kMinExponent);
+  return util::celsius(kAnchorCelsius - exponent / kSlope);
 }
 
 double scaling_drive(const WaterChemistry& chem) {

@@ -24,6 +24,14 @@ struct WaterChemistry {
 /// temperature and scales only on heated surfaces.
 [[nodiscard]] double caco3_solubility_mg_per_l(util::Kelvin t);
 
+/// The inverse of caco3_solubility_mg_per_l: the temperature at which the
+/// solubility equals `drive_mg_per_l`, so that hotter walls are
+/// supersaturated by that drive. +inf for a drive <= 0, which saturates no
+/// wall, and NaN for a NaN drive. Below the solubility fit's underflow (walls
+/// above ~31,800 °C) it returns that limit instead, so the answer stays
+/// where the forward fit is accurate.
+[[nodiscard]] util::Kelvin caco3_saturation_temperature(double drive_mg_per_l);
+
 /// Driving hardness (mg/L as CaCO3): the scaling-prone fraction of the
 /// hardness, limited by alkalinity and weighted by the pH speciation factor.
 /// The numerator of saturation_ratio; it does not depend on temperature.

@@ -19,6 +19,10 @@ double reynolds(const FluidProperties& fluid, MetresPerSecond speed,
 double kramers_nusselt(double reynolds_number, double prandtl_number) {
   if (reynolds_number < 0.0 || prandtl_number <= 0.0)
     throw std::invalid_argument("kramers_nusselt: non-physical inputs");
+  // At Re = 0 the forced term 0.57·cbrt(Pr)·sqrt(Re) is +0 or -0 for every
+  // finite Pr, and adding either zero gives the floor + 0.0 bit for bit.
+  if (reynolds_number == 0.0 && std::isfinite(prandtl_number))
+    return 0.42 * std::pow(prandtl_number, 0.20) + 0.0;
   return 0.42 * std::pow(prandtl_number, 0.20) +
          0.57 * std::cbrt(prandtl_number) * std::sqrt(reynolds_number);
 }

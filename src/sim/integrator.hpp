@@ -1,6 +1,6 @@
 // integrator.hpp — explicit fixed-step ODE integration for the non-stiff
 // mechanical models (turbine rotor, valve/pump actuators). The stiff thermal
-// side uses phys::ThermalNetwork's exponential-Euler instead.
+// side, the MAF die, steps its own exponential-Euler network instead.
 #pragma once
 
 #include <functional>

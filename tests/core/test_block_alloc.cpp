@@ -3,8 +3,9 @@
 // scratch is sized, tick_frame()/process_frame() run allocation-free; this TU
 // replaces the global operator new/delete with counting forwarders and asserts
 // a zero delta across settled frames. Byte totals bound the heap a fleet
-// sensor takes at construction and the heap one network solve takes, and a
-// commissioned sensor's supply DAC holds only a few pages of its table. The
+// sensor takes at construction and the heap one network solve takes, a MAF
+// die takes no heap at all, and a commissioned sensor's supply DAC holds only
+// a few pages of its table. The
 // override is process-wide, but it only counts — behaviour of every other
 // test in this binary is unchanged.
 #include <atomic>
@@ -20,6 +21,7 @@
 #include "fleet/sensor_node.hpp"
 #include "isif/channel.hpp"
 #include "isif/platform.hpp"
+#include "maf/die.hpp"
 #include "util/rng.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -117,6 +119,29 @@ TEST(BlockAllocation, AnemometerTickFrameIsAllocationFree) {
   ASSERT_EQ(anemo.tick_phase(), 0);
   const long before = g_allocations.load(std::memory_order_relaxed);
   for (int f = 0; f < 20; ++f) anemo.tick_frame(env);
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0);
+#endif
+}
+
+TEST(BlockAllocation, MafDieBuildStepAndSettleAreAllocationFree) {
+#ifdef AQUA_SANITIZED
+  GTEST_SKIP() << "sanitizer runtimes allocate behind the allocator hooks";
+#else
+  // The die's thermal network is a fixed set of members: building a
+  // toleranced die, stepping it in fouling water, settling and resetting it
+  // take no heap at all.
+  const maf::MafSpec spec;
+  const auto env = flowing_water();
+  const long before = g_allocations.load(std::memory_order_relaxed);
+  {
+    Rng rng{63};
+    maf::MafDie die{spec, rng};
+    die.set_heater_powers(util::milliwatts(4.0), util::milliwatts(4.0),
+                          util::milliwatts(0.1));
+    for (int i = 0; i < 100; ++i) die.step(Seconds{1.0 / 16000.0}, env);
+    die.settle(env);
+    die.reset();
+  }
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0);
 #endif
 }

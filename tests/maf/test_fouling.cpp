@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace aqua::maf {
 namespace {
 
@@ -125,6 +127,36 @@ TEST(Fouling, CleanResets) {
   f.clean();
   EXPECT_DOUBLE_EQ(f.bubble_coverage(), 0.0);
   EXPECT_DOUBLE_EQ(f.deposit_thickness(), 0.0);
+}
+
+TEST(CaCO3, SaturationWallTemperatureIsConservative) {
+  // FoulingState::step skips the deposit rate of a clean wall below
+  // FoulingDrive::saturation_wall. For drives of 1–400 mg/L (pH 7 halves
+  // the hardness exactly), every wall within 1e-3 K below that limit must
+  // have a rate of exactly +0.0, and 1e-3 K above it the wall must grow a
+  // deposit, so the limit is also tight.
+  const phys::ScalingKinetics k{};
+  Environment env = line_env(2.0);
+  long skipped = 0;
+  for (double hardness = 2.0; hardness <= 800.0; hardness += 0.5) {
+    env.chemistry = phys::WaterChemistry{hardness, hardness, 7.0};
+    const FoulingDrive drive = fouling_drive(env);
+    ASSERT_EQ(drive.scaling_drive, 0.5 * hardness);
+    const double limit = drive.saturation_wall;
+    for (int i = -1000; i < 0; ++i) {
+      const double wall = limit + 1e-6 * i;
+      if (!(wall < limit)) continue;
+      ++skipped;
+      const double rate =
+          phys::deposit_growth_rate(k, drive.scaling_drive, Kelvin{wall}, 0.0);
+      ASSERT_EQ(rate, 0.0) << hardness << " " << i;
+      ASSERT_FALSE(std::signbit(rate)) << hardness << " " << i;
+    }
+    FoulingState above;
+    above.step(Seconds{1.0}, Kelvin{limit + 1e-3}, env, drive);
+    EXPECT_GT(above.deposit_thickness(), 0.0) << hardness;
+  }
+  EXPECT_GT(skipped, 1500000);
 }
 
 }  // namespace

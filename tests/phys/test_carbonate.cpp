@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 namespace aqua::phys {
 namespace {
 
@@ -98,6 +101,29 @@ TEST(Carbonate, DepositResistanceValidation) {
                std::invalid_argument);
   EXPECT_THROW((void)deposit_thermal_resistance(1.0, util::SquareMetres{0.0}),
                std::invalid_argument);
+}
+
+TEST(CaCO3, SaturationTemperatureInvertsTheSolubility) {
+  for (const double drive : {1.0, 50.0, 153.7, 330.0, 400.0}) {
+    const util::Kelvin t = caco3_saturation_temperature(drive);
+    EXPECT_NEAR(caco3_solubility_mg_per_l(t) / drive, 1.0, 1e-12) << drive;
+  }
+  EXPECT_NEAR(util::to_celsius(caco3_saturation_temperature(330.0)), 15.0,
+              1e-12);
+  // No wall saturates a drive <= 0; a NaN drive compares below no wall.
+  EXPECT_EQ(caco3_saturation_temperature(0.0).value(),
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(caco3_saturation_temperature(-5.0).value(),
+            std::numeric_limits<double>::infinity());
+  EXPECT_TRUE(std::isnan(
+      caco3_saturation_temperature(std::numeric_limits<double>::quiet_NaN())
+          .value()));
+  // A drive so small that the fit would underflow at its saturation
+  // temperature gets the underflow limit instead, which is finite.
+  const double tiny = caco3_saturation_temperature(1e-320).value();
+  EXPECT_TRUE(std::isfinite(tiny));
+  EXPECT_GT(caco3_solubility_mg_per_l(util::Kelvin{tiny}),
+            std::numeric_limits<double>::min());
 }
 
 }  // namespace

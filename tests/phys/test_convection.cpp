@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 namespace aqua::phys {
 namespace {
@@ -32,6 +36,30 @@ TEST(KramersNusselt, ReducesToConductionFloorAtRest) {
   const double pr = 7.0;
   const double nu0 = kramers_nusselt(0.0, pr);
   EXPECT_NEAR(nu0, 0.42 * std::pow(pr, 0.2), 1e-12);
+}
+
+TEST(Kramers, ZeroReynoldsIsBitIdentical) {
+  // kramers_nusselt skips the forced term at Re = 0. It must return the
+  // full formula's bits at either zero over water's Prandtl range (~1.7 at
+  // 100 °C to ~13.5 at 0 °C), air's (~0.7) and beyond.
+  const auto full = [](double re, double pr) {
+    return 0.42 * std::pow(pr, 0.20) + 0.57 * std::cbrt(pr) * std::sqrt(re);
+  };
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  std::vector<double> prandtl;
+  for (int i = 0; i <= 20000; ++i) prandtl.push_back(0.6 + 14.0 * i / 20000.0);
+  for (const double pr : {std::numeric_limits<double>::denorm_min(), 1e-300,
+                          1e-3, 1.0, 100.0, 1e300})
+    prandtl.push_back(pr);
+  for (const double pr : prandtl) {
+    ASSERT_EQ(bits(kramers_nusselt(0.0, pr)), bits(full(0.0, pr))) << pr;
+    ASSERT_EQ(bits(kramers_nusselt(-0.0, pr)), bits(full(-0.0, pr))) << pr;
+  }
+  // Where the forced term is not zero, or Pr is infinite, the full formula
+  // runs: 0.57·cbrt(inf)·sqrt(0) is NaN.
+  EXPECT_TRUE(std::isnan(
+      kramers_nusselt(0.0, std::numeric_limits<double>::infinity())));
+  EXPECT_EQ(bits(kramers_nusselt(1e-300, 7.0)), bits(full(1e-300, 7.0)));
 }
 
 TEST(KramersNusselt, GrowsAsSqrtRe) {
