@@ -272,8 +272,8 @@ void BM_NetworkSolveDistrict(benchmark::State& state) {
 BENCHMARK(BM_NetworkSolveDistrict)->Arg(32)->Unit(benchmark::kMicrosecond);
 
 // The pool's fork/join as the fleet drives it, on pool(4). Args {4, 0}: four
-// empty bodies, the hand-off every pooled epoch pays around its claim loops.
-// Args {1024, 1}: a ~1 µs body per index, a 1024-sensor dispatch of very
+// empty bodies, the hand-off and per-worker stay timing every pooled epoch
+// pays. Args {1024, 1}: a ~1 µs body per index, a 1024-sensor epoch of very
 // cheap sensors. Real time per call: the caller sleeps while workers run.
 void BM_PoolParallelFor(benchmark::State& state) {
   util::ThreadPool pool{4};

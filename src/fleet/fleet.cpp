@@ -40,15 +40,6 @@ const obs::Histogram kWorkerImbalance{"fleet.worker_imbalance",
 const obs::Histogram kWorkerUtilization{
     "fleet.worker_utilization", obs::HistogramSpec{0.0, 1.0, 20, false}};
 
-// Sensors per self-claimed chunk for an epoch of `n` sensors on `workers`
-// workers. At least four chunks per worker keep a small fleet's tail short;
-// large fleets take 8, the size that won the scheduler A/B (DESIGN.md §12).
-// Scheduling only — every chunking gives bit-identical results.
-std::size_t chunk_size_for(std::size_t n, std::size_t workers) {
-  constexpr std::size_t kMaxChunk = 8;
-  return std::clamp<std::size_t>(n / (4 * workers), 1, kMaxChunk);
-}
-
 using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point t0) {
@@ -148,18 +139,17 @@ PipeState FleetEngine::pipe_state_for(const SensorNode& node) const {
   return state;
 }
 
-void FleetEngine::dispatch(util::ThreadPool* pool,
-                           const std::function<void(std::size_t)>& body) {
-  if (pool != nullptr) {
-    pool->parallel_for(nodes_.size(), body);
-  } else {
-    for (std::size_t i = 0; i < nodes_.size(); ++i) body(i);
-  }
+std::vector<double> FleetEngine::dispatch(
+    util::ThreadPool* pool, std::size_t items,
+    const std::function<void(std::size_t)>& body) {
+  if (pool != nullptr) return pool->parallel_for(items, body);
+  for (std::size_t k = 0; k < items; ++k) body(k);
+  return {};
 }
 
 void FleetEngine::commission(Seconds settle, util::ThreadPool* pool) {
   AQUA_TRACE_SPAN_SIM("fleet.commission", t_.value());
-  dispatch(pool, [&](std::size_t i) {
+  dispatch(pool, nodes_.size(), [&](std::size_t i) {
     SensorNode& node = *nodes_[i];
     // Power-up built-in self-test first (paper §3's test bus); the test
     // restores the channel bit-exactly, so the settle below is unaffected.
@@ -195,7 +185,7 @@ isif::ChannelSelfTestResult FleetEngine::recommission_node(std::size_t i,
 void FleetEngine::calibrate(std::span<const double> mean_speeds, Seconds dwell,
                             util::ThreadPool* pool) {
   AQUA_TRACE_SPAN_SIM("fleet.calibrate", t_.value());
-  dispatch(pool, [&](std::size_t i) {
+  dispatch(pool, nodes_.size(), [&](std::size_t i) {
     SensorNode& node = *nodes_[i];
     node.calibrate(pipe_state_for(node), mean_speeds, dwell);
   });
@@ -226,46 +216,6 @@ void FleetEngine::advance_sensor(std::size_t i) {
   kSensorStepWall.observe(seconds_since(t0));
 }
 
-void FleetEngine::claim_chunks(std::size_t worker,
-                               std::span<const std::size_t> due,
-                               Seconds settle) {
-  // The span name is the one the benchmark's layer split reads as worker
-  // busy time (benchmark/README.md).
-  AQUA_TRACE_SPAN("team.epoch");
-  const auto t0 = Clock::now();
-  const std::size_t n = nodes_.size();
-  const std::size_t chunk = chunk_sensors_;
-  // A due sensor's re-commission belongs to the epoch boundary the
-  // supervisor acts at, so its span carries the end-of-epoch time.
-  const double boundary_s = (t_ + config_.epoch).value();
-  // Relaxed is enough: the cursor only has to hand each item out once. The
-  // epoch's inputs and outputs are published by the pool's parallel_for
-  // around this loop (its job hand-off and join), not by the cursor.
-  for (;;) {
-    const std::size_t item =
-        next_item_.fetch_add(1, std::memory_order_relaxed);
-    // Due sensors come first: a re-commission outlasts a chunk, so starting
-    // them first keeps the epoch's tail short.
-    if (item < due.size()) {
-      advance_sensor(due[item]);
-      (void)recommission_node(due[item], settle, boundary_s);
-      continue;
-    }
-    const std::size_t begin = (item - due.size()) * chunk;
-    if (begin >= n) break;
-    const std::size_t end = std::min(n, begin + chunk);
-    auto skip = std::lower_bound(due.begin(), due.end(), begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      if (skip != due.end() && *skip == i) {
-        ++skip;  // advanced by its own item
-        continue;
-      }
-      advance_sensor(i);
-    }
-  }
-  worker_busy_s_[worker] = seconds_since(t0);
-}
-
 void FleetEngine::step_epoch(util::ThreadPool* pool,
                              std::span<const std::size_t> due,
                              Seconds settle) {
@@ -290,31 +240,35 @@ void FleetEngine::step_epoch(util::ThreadPool* pool,
     }
   }
   // The fan-out only reads the network, so every sensor task derives its
-  // pipe state from this epoch's solution. The claim loop runs once per
-  // pool worker index, or serially on the caller, which then claims every
-  // item in order.
-  const std::size_t workers = pool != nullptr ? pool->thread_count() : 1;
-  worker_busy_s_.assign(workers, 0.0);
-  chunk_sensors_ = chunk_size_for(nodes_.size(), workers);
-  next_item_.store(0, std::memory_order_relaxed);
+  // pipe state from this epoch's solution. Item k < d is due sensor k: its
+  // advance, then its re-commission, which belongs to the epoch boundary the
+  // supervisor acts at, so its span carries the end-of-epoch time. Due
+  // sensors come first because a re-commission outlasts an advance, which
+  // keeps the epoch's tail short. Item k >= d is the (k - d)-th sensor not in
+  // `due`.
+  const double boundary_s = (t_ + config_.epoch).value();
   const auto t_fanout = Clock::now();
-  if (pool == nullptr) {
-    claim_chunks(0, due, settle);
-  } else {
-    pool->parallel_for(workers, [&](std::size_t w) {
-      claim_chunks(w, due, settle);
-    });
+  const std::vector<double> busy_s =
+      dispatch(pool, nodes_.size(), [&](std::size_t k) {
+        if (k < due.size()) {
+          advance_sensor(due[k]);
+          (void)recommission_node(due[k], settle, boundary_s);
+          return;
+        }
+        std::size_t i = k - due.size();
+        for (const std::size_t u : due) i += u <= i ? 1 : 0;
+        advance_sensor(i);
+      });
+  if (!busy_s.empty()) {
     const double fanout_s = seconds_since(t_fanout);
-    const double busy_s =
-        std::accumulate(worker_busy_s_.begin(), worker_busy_s_.end(), 0.0);
-    const double max_busy_s =
-        *std::max_element(worker_busy_s_.begin(), worker_busy_s_.end());
-    if (busy_s > 0.0)
-      kWorkerImbalance.observe(max_busy_s * static_cast<double>(workers) /
-                               busy_s);
+    const auto workers = static_cast<double>(busy_s.size());
+    const double total_busy_s =
+        std::accumulate(busy_s.begin(), busy_s.end(), 0.0);
+    const double max_busy_s = *std::max_element(busy_s.begin(), busy_s.end());
+    if (total_busy_s > 0.0)
+      kWorkerImbalance.observe(max_busy_s * workers / total_busy_s);
     if (fanout_s > 0.0)
-      kWorkerUtilization.observe(busy_s /
-                                 (static_cast<double>(workers) * fanout_s));
+      kWorkerUtilization.observe(total_busy_s / (workers * fanout_s));
   }
 
   t_ += config_.epoch;

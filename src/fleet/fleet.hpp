@@ -9,13 +9,12 @@
 // ΣΔ/CIC/PI loop across the epoch under its pipe's frozen hydraulic state —
 // on the caller's thread, or across the workers of a util::ThreadPool.
 //
-// Parallel execution model (DESIGN.md §12): each epoch the fleet is cut into
-// contiguous chunks of up to 8 sensors, and each worker claims the next
-// unclaimed chunk from one atomic cursor until none is left. A worker
-// that wakes late or draws slow sensors simply claims fewer chunks, so the
-// load balances from the first epoch, with no cost model to warm up. With a
-// pool the claimers are one task per worker per epoch; serially the caller
-// claims every chunk itself.
+// Parallel execution model (DESIGN.md §12): every fan-out — commission,
+// calibration and each epoch — is one ThreadPool::parallel_for with one
+// sensor per index, and each worker claims the next unclaimed sensor until
+// none is left. A worker that wakes late or draws slow sensors simply claims
+// fewer, so the load balances from the first epoch, with no cost model to
+// warm up. Serially the caller runs the sensors in index order.
 //
 // Determinism contract (the load-bearing property): each SensorNode owns all
 // of its mutable state and draws from its private counter-based RNG stream
@@ -24,13 +23,12 @@
 // derives a sensor's pipe state from the same frozen solution. Sensor tasks
 // (an advance, or an advance followed by that sensor's re-commission)
 // therefore commute, and the same root seed produces bit-identical
-// per-sensor traces for ANY thread count, chunk size and claim order. Which
-// worker claims which chunk depends on wall-clock timing and is explicitly
-// outside the contract; the simulation output must not (and does not) depend
-// on it. tests/fleet/ enforce both.
+// per-sensor traces for ANY thread count and claim order. Which worker claims
+// which sensor depends on wall-clock timing and is explicitly outside the
+// contract; the simulation output must not (and does not) depend on it.
+// tests/fleet/ enforce both.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -124,23 +122,23 @@ class FleetEngine {
   /// is 7, not the 8 that ceil(7.000000000000001) gives.
   [[nodiscard]] long long epochs_for(util::Seconds duration) const;
 
-  /// Advances exactly one epoch: demand scaling, network solve, self-claimed
-  /// chunked sensor execution, clock tick. run() is a loop over this. Fault
+  /// Advances exactly one epoch: demand scaling, network solve, one
+  /// fan-out item per sensor, clock tick. run() is a loop over this. Fault
   /// injectors act *between* step_epoch calls on the caller's thread, which
   /// keeps campaigns bit-reproducible at any thread count. A non-null pool
-  /// runs the claim loop as one parallel_for index per worker, and every
-  /// index has finished, trace span included, on return.
+  /// runs the items as one parallel_for, and every item has finished, trace
+  /// spans included, on return.
   void step_epoch(util::ThreadPool* pool = nullptr) {
     step_epoch(pool, {}, util::Seconds{0.0});
   }
 
   /// The same epoch, with every sensor in `due` re-commissioned right after
   /// its own advance: recommission(i, settle) under this epoch's solution,
-  /// exactly as if called after step_epoch returned. Each due sensor is one
-  /// work item, claimed before any chunk (a re-commission outlasts a chunk);
-  /// chunks skip due sensors, so every sensor still advances once. `due` must
-  /// be strictly increasing and below size(): throws std::out_of_range or
-  /// std::invalid_argument before anything is touched.
+  /// exactly as if called after step_epoch returned. The epoch's size()
+  /// items are the due sensors first (a re-commission outlasts an advance),
+  /// then every other sensor in index order, so every sensor advances once.
+  /// `due` must be strictly increasing and below size(): throws
+  /// std::out_of_range or std::invalid_argument before anything is touched.
   void step_epoch(util::ThreadPool* pool, std::span<const std::size_t> due,
                   util::Seconds settle);
 
@@ -211,10 +209,11 @@ class FleetEngine {
   /// the network only, so fan-out workers may call it concurrently.
   [[nodiscard]] PipeState pipe_state_for(const SensorNode& node) const;
   void apply_demand_factor(double factor);
-  /// Runs body(i) for every node — serially, or on the pool (commission /
-  /// calibration fan-out; the epoch loop claims chunks instead).
-  void dispatch(util::ThreadPool* pool,
-                const std::function<void(std::size_t)>& body);
+  /// The engine's one fan-out: runs body(k) for every k in [0, items) — in
+  /// order on the caller when `pool` is null, else as one parallel_for.
+  /// Returns the pool's per-worker busy seconds, or nothing when serial.
+  std::vector<double> dispatch(util::ThreadPool* pool, std::size_t items,
+                               const std::function<void(std::size_t)>& body);
   /// Throws std::out_of_range naming `what` unless `i < size()`.
   void check_sensor(std::size_t i, const char* what) const;
   /// recommission() without the index check; `sim_s` stamps its trace span.
@@ -224,26 +223,12 @@ class FleetEngine {
   /// Advances sensor `i` one epoch under its pipe's state. Runs on pool
   /// workers for disjoint `i` — everything it writes is per-sensor.
   void advance_sensor(std::size_t i);
-  /// The claim loop each worker of an epoch runs, inside one `team.epoch`
-  /// trace span: takes the next item from the epoch cursor — first the due
-  /// sensors (advance, then re-commission), then the chunks — until the
-  /// fleet is exhausted, and records how long worker `worker` was busy.
-  void claim_chunks(std::size_t worker, std::span<const std::size_t> due,
-                    util::Seconds settle);
 
   hydro::WaterNetwork& net_;
   FleetConfig config_;
   std::vector<double> base_demands_;  // indexed by NodeId; 0 for reservoirs
   std::vector<std::unique_ptr<SensorNode>> nodes_;
   std::vector<std::uint8_t> estimate_valid_;  // per sensor, 1 = in service
-
-  /// Sensors per chunk and the next unclaimed item (a due sensor, then a
-  /// chunk) of the running epoch; both set before each fan-out.
-  std::size_t chunk_sensors_ = 1;
-  std::atomic<std::size_t> next_item_{0};
-  /// Busy seconds of each worker in the last epoch (disjoint slots; wall
-  /// clock, scheduling telemetry only).
-  std::vector<double> worker_busy_s_;
   long long epoch_index_ = 0;
 
   util::Seconds t_{0.0};

@@ -140,7 +140,8 @@ class SensorNode {
 
   /// Fingerprint of this node's RNG stream position (util::Rng::fingerprint).
   /// Two runs that consumed the same draws in the same order agree here; the
-  /// scaling tests use it to prove chunking never alters RNG consumption.
+  /// scaling tests use it to prove the claim order never alters RNG
+  /// consumption.
   [[nodiscard]] std::uint64_t rng_fingerprint() const {
     return rng_.fingerprint();
   }

@@ -124,7 +124,7 @@ void FleetSupervisor::attempt_recommission(std::size_t i,
   const isif::ChannelSelfTestResult self_test =
       engine_.node(i).last_self_test().value();
   monitors_[i].reset();  // the post-reboot loop starts a fresh history
-  if (config_.require_self_test_pass && !self_test.pass) {
+  if (!self_test.pass) {
     ++stats_.self_test_failures;
     kSelfTestFailures.add(1);
     sup.backoff_next =

@@ -55,11 +55,10 @@ struct SupervisorConfig {
   int backoff_max_epochs = 16;
   /// Re-commission attempts before the node is declared permanently failed.
   int max_recommission_attempts = 4;
-  /// Zero-flow settle per re-commission attempt (simulation seconds).
+  /// Zero-flow settle per re-commission attempt (simulation seconds). An
+  /// attempt whose channel self-test fails keeps the node quarantined and
+  /// doubles its backoff.
   util::Seconds recommission_settle{1.0};
-  /// A failed channel self-test keeps the node quarantined without burning
-  /// the settle time on a commission that cannot succeed.
-  bool require_self_test_pass = true;
 };
 
 /// Per-node supervision record (read-only view for reports and tests).

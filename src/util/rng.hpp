@@ -83,8 +83,8 @@ class Rng {
 
   /// Read-only digest of the generator's exact position: state words plus the
   /// Box-Muller spare. Equal fingerprints ⇒ identical future draw sequences.
-  /// The fleet scaling tests use this to prove that the chunking and worker
-  /// assignment never change any sensor's stream consumption order.
+  /// The fleet scaling tests use this to prove that the claim order and
+  /// worker assignment never change any sensor's stream consumption order.
   [[nodiscard]] std::uint64_t fingerprint() const {
     std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over the state
     const auto mix = [&h](std::uint64_t w) {

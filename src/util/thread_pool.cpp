@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <exception>
 #include <stdexcept>
 #include <string>
@@ -18,17 +19,23 @@ thread_local const ThreadPool* tl_pool = nullptr;
 // One count per index run. Which worker runs an index is timing-dependent;
 // the count is not.
 const obs::Counter kTasks{"util.thread_pool.tasks"};
+
+using Clock = std::chrono::steady_clock;
 }  // namespace
 
 struct ThreadPool::Job {
-  Job(std::size_t count, const std::function<void(std::size_t)>& fn)
-      : n(count), body(fn), failed(count) {}
+  Job(std::size_t count, const std::function<void(std::size_t)>& fn,
+      std::size_t workers)
+      : n(count), body(fn), failed(count), busy_s(workers, 0.0) {}
 
   const std::size_t n;
   const std::function<void(std::size_t)>& body;
   std::atomic<std::size_t> next{0};  // the claim cursor
   std::size_t failed;                // lowest failing index (under mutex_)
   std::exception_ptr error;          // its exception (under mutex_)
+  // Each worker's stay, written by that worker alone before it leaves the
+  // job under mutex_, so the caller reads every slot after the join.
+  std::vector<double> busy_s;
 };
 
 ThreadPool::ThreadPool(unsigned thread_count) {
@@ -62,43 +69,45 @@ void ThreadPool::worker_loop(std::size_t index) {
     Job& job = *job_;
     ++active_;
     lock.unlock();
-    run(job);
+    run(job, index);
     lock.lock();
     if (--active_ == 0) done_cv_.notify_one();
   }
 }
 
-void ThreadPool::run(Job& job) {
+void ThreadPool::run(Job& job, std::size_t index) {
+  // The span name is the one the benchmark's layer split reads as worker
+  // busy time (benchmark/README.md).
+  const obs::ScopedSpan span{"team.epoch"};
+  const auto t0 = Clock::now();
   // Relaxed is enough: the cursor only has to hand each index out once. The
   // job itself is published, and its effects returned, through mutex_.
   for (;;) {
     const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= job.n) return;
-    {
-      const obs::ScopedSpan span{"pool.task"};
-      try {
-        job.body(i);
-      } catch (...) {
-        const std::lock_guard lock{mutex_};
-        if (i < job.failed) {
-          job.failed = i;
-          job.error = std::current_exception();
-        }
+    if (i >= job.n) break;
+    try {
+      job.body(i);
+    } catch (...) {
+      const std::lock_guard lock{mutex_};
+      if (i < job.failed) {
+        job.failed = i;
+        job.error = std::current_exception();
       }
     }
     kTasks.add(1);
   }
+  job.busy_s[index] = std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& body) {
+std::vector<double> ThreadPool::parallel_for(
+    std::size_t n, const std::function<void(std::size_t)>& body) {
   if (tl_pool == this)
     throw std::logic_error(
         "ThreadPool::parallel_for: called from one of the pool's own "
         "workers, it would wait on itself");
-  if (n == 0) return;
+  if (n == 0) return std::vector<double>(threads_.size(), 0.0);
   const std::lock_guard call{call_mutex_};
-  Job job{n, body};
+  Job job{n, body, threads_.size()};
   {
     std::unique_lock lock{mutex_};
     job_ = &job;
@@ -113,6 +122,7 @@ void ThreadPool::parallel_for(std::size_t n,
     job_ = nullptr;
   }
   if (job.error) std::rethrow_exception(job.error);
+  return std::move(job.busy_s);
 }
 
 }  // namespace aqua::util

@@ -1,7 +1,7 @@
 // Campaign-at-scale determinism: a seeded random fault campaign over a
 // 1k-sensor fleet must produce a bit-identical CampaignSummary — trace
 // checksum, every outcome timestamp, every detection latency — whether the
-// epochs run serially or as self-claimed chunks on pool(8). This is the
+// epochs run serially or one sensor per index on pool(8). This is the
 // end-to-end proof that injection, supervision and the parallel epoch loop
 // compose without breaking the determinism contract.
 #include <cstddef>
@@ -16,6 +16,8 @@
 #include "fleet/supervisor.hpp"
 #include "util/thread_pool.hpp"
 
+#include "../hydro/replicated_district.hpp"
+
 namespace aqua::fault {
 namespace {
 
@@ -26,26 +28,11 @@ struct District {
   std::vector<fleet::SensorPlacement> placements;
 };
 
-// 32 replicas of the bench district = 1024 sensors, hydraulically
-// independent so 1k-sensor epochs stay affordable in tier 1.
+// Replicas of the bench district with one sensor per pipe (32 replicas =
+// 1024 sensors), hydraulically independent so 1k-sensor epochs stay
+// affordable in tier 1.
 District make_district(std::size_t replicas) {
-  District d;
-  for (std::size_t rep = 0; rep < replicas; ++rep) {
-    const auto res = d.net.add_reservoir(45.0);
-    const auto hub = d.net.add_junction(2.0, 0.002);
-    const auto first_pipe = d.net.pipe_count();
-    d.net.add_pipe(res, hub, util::metres(200.0), util::millimetres(250.0));
-    for (int chain = 0; chain < 4; ++chain) {
-      auto prev = hub;
-      for (int k = 0; k < 8; ++k) {
-        if (d.net.pipe_count() - first_pipe >= 32) break;
-        const auto next = d.net.add_junction(1.5 - 0.1 * k, 0.002);
-        d.net.add_pipe(prev, next, util::metres(250.0),
-                       util::millimetres(150.0 - 14.0 * k));
-        prev = next;
-      }
-    }
-  }
+  District d{hydro::replicated_district(replicas), {}};
   for (hydro::WaterNetwork::PipeId p = 0; p < d.net.pipe_count(); ++p)
     d.placements.push_back(fleet::SensorPlacement{p, 0.0});
   return d;

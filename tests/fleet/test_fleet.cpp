@@ -3,14 +3,16 @@
 // mass-balance report localizes a leak to the right junction (paper §6's
 // "immediately localized and isolated" vision), the constructor refuses an
 // epoch with no whole count, per-sensor calls refuse bad indices, a due
-// re-commission inside the epoch matches one after it, and a node advances
-// whole frames over a near-whole epoch.
+// re-commission inside the epoch matches one after it, an epoch claims its
+// due sensors before the rest, and a node advances whole frames over a
+// near-whole epoch.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include "core/rig.hpp"
 #include "fleet/fleet.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "state/serial.hpp"
 #include "util/thread_pool.hpp"
 
@@ -335,6 +338,37 @@ TEST(FleetEngine, DueRecommissionsMatchRecommissionAfterTheEpoch) {
       EXPECT_EQ(got->gain_error, expected[k].gain_error);
       EXPECT_EQ(got->pass, expected[k].pass);
     }
+  }
+}
+
+// An epoch's items in claim order: the due sensors first, each advanced and
+// then re-commissioned, then every other sensor in ascending order. One
+// worker claims them in that order, and the caller runs them in it serially.
+TEST(FleetEngine, PooledEpochClaimsDueSensorsFirstThenTheRest) {
+  const std::vector<std::size_t> due{1, 3};
+  // The sensor index of each `fleet.sensor` span, -1 for each
+  // `fleet.recommission` span.
+  const std::vector<double> expected{1.0, -1.0, 3.0, -1.0, 0.0, 2.0, 4.0};
+  util::ThreadPool pool{1};
+  obs::TraceRecorder& recorder = obs::TraceRecorder::instance();
+  for (util::ThreadPool* p : {&pool, static_cast<util::ThreadPool*>(nullptr)}) {
+    Warm w;
+    recorder.clear();
+    obs::TraceRecorder::set_enabled(true);
+    w.engine.step_epoch(p, due, Seconds{0.1});
+    obs::TraceRecorder::set_enabled(false);
+    const obs::TraceSnapshot snap = recorder.snapshot();
+    recorder.clear();
+    EXPECT_EQ(snap.dropped_total, 0u);
+    std::vector<double> order;
+    for (const obs::TraceTrack& track : snap.tracks)
+      for (const obs::TraceEvent& ev : track.events) {
+        if (ev.kind != obs::TraceEventKind::kSpanBegin) continue;
+        const std::string_view name{ev.name};
+        if (name == "fleet.sensor") order.push_back(ev.value);
+        if (name == "fleet.recommission") order.push_back(-1.0);
+      }
+    EXPECT_EQ(order, expected) << (p != nullptr ? "pool(1)" : "serial");
   }
 }
 

@@ -17,6 +17,8 @@
 #include "obs/trace.hpp"
 #include "util/thread_pool.hpp"
 
+#include "../hydro/replicated_district.hpp"
+
 namespace aqua::fleet {
 namespace {
 
@@ -227,24 +229,13 @@ TEST(FleetDeterminism, PerSensorStreamsDiffer) {
 }
 
 TEST(FleetDeterminism, BenchFleetScenarioReproducesTheCommittedChecksum) {
-  // bench_fleet's 32-sensor scenario, run serially: a reservoir feeding four
-  // radial chains of tapered pipes, one probe on the axis of each of the 32
-  // pipes. Its trace checksum is the one bench_fleet prints for every mode,
-  // so any change to the bits of the scalar chain — a reordered draw, a
-  // reassociated sum, an FMA contraction — fails here.
-  hydro::WaterNetwork net;
-  const auto res = net.add_reservoir(45.0);
-  const auto hub = net.add_junction(2.0, 0.002);
-  net.add_pipe(res, hub, util::metres(200.0), util::millimetres(250.0));
-  for (int chain = 0; chain < 4; ++chain) {
-    auto prev = hub;
-    for (int k = 0; k < 8 && net.pipe_count() < 32; ++k) {
-      const auto next = net.add_junction(1.5 - 0.1 * k, 0.002);
-      net.add_pipe(prev, next, util::metres(250.0),
-                   util::millimetres(150.0 - 14.0 * k));
-      prev = next;
-    }
-  }
+  // bench_fleet's 32-sensor scenario, run serially: one replica of the bench
+  // district (a reservoir feeding four radial chains of tapered pipes), one
+  // probe on the axis of each of its 32 pipes. Its trace checksum is the one
+  // bench_fleet prints for every mode, so any change to the bits of the
+  // scalar chain — a reordered draw, a reassociated sum, an FMA contraction
+  // — fails here.
+  hydro::WaterNetwork net = hydro::replicated_district(1);
   std::vector<SensorPlacement> placements;
   for (hydro::WaterNetwork::PipeId p = 0; p < net.pipe_count(); ++p)
     placements.push_back(SensorPlacement{p, 0.0});

@@ -1,8 +1,10 @@
 // FleetSupervisor state machine: quarantine on hard faults, suspect streaks
-// for soft ones, capped exponential backoff on re-commission, probation,
-// recovery, permanent failure — and the estimate-validity mask that keeps
-// quarantined sensors out of downstream consumers.
+// for soft ones, capped exponential backoff on re-commission, a failed
+// re-commission self-test, probation, recovery, permanent failure — and the
+// estimate-validity mask that keeps quarantined sensors out of downstream
+// consumers.
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -11,6 +13,8 @@
 #include "core/rig.hpp"
 #include "fleet/fleet.hpp"
 #include "fleet/supervisor.hpp"
+#include "isif/channel.hpp"
+#include "obs/metrics.hpp"
 
 namespace aqua::fleet {
 namespace {
@@ -137,6 +141,48 @@ TEST(FleetSupervisor, PermanentFaultExhaustsBackoffAndFails) {
   // A failed sensor stays failed.
   rig.step(4);
   EXPECT_EQ(rig.supervisor().state(0), NodeHealthState::kFailed);
+}
+
+std::uint64_t counter(const char* name) {
+  for (const auto& c : obs::Registry::instance().snapshot().counters)
+    if (c.name == name) return c.value;
+  return 0;
+}
+
+// A channel defect that survives the reboot: every output bit stuck low
+// zeroes the self-test tone, so the first re-commission's self-test fails.
+// The node stays quarantined, waits out a doubled backoff, and the failure
+// is counted in the stats and in the telemetry.
+TEST(FleetSupervisor, FailedSelfTestKeepsTheNodeQuarantined) {
+  Rig rig;
+  rig.step(2);
+  rig.engine.node(0).anemometer().platform().channel(0).inject_fault(
+      isif::ChannelFault{.stuck_low = 0xFFFF});
+  for (int e = 0; e < 8 && rig.supervisor().state(0) !=
+                               NodeHealthState::kQuarantined;
+       ++e)
+    rig.step(1);
+  ASSERT_EQ(rig.supervisor().state(0), NodeHealthState::kQuarantined);
+  const int backoff = rig.supervisor().supervision(0).backoff_next;
+  const std::uint64_t failures_before =
+      counter("fleet.supervisor.self_test_failures");
+
+  for (int e = 0; e < 4 * backoff &&
+                  rig.supervisor().supervision(0).recommission_attempts == 0;
+       ++e)
+    rig.step(1);
+  const NodeSupervision& sup = rig.supervisor().supervision(0);
+  ASSERT_EQ(sup.recommission_attempts, 1);
+  ASSERT_TRUE(rig.engine.node(0).last_self_test().has_value());
+  EXPECT_FALSE(rig.engine.node(0).last_self_test()->pass);
+  EXPECT_EQ(rig.supervisor().state(0), NodeHealthState::kQuarantined);
+  EXPECT_FALSE(rig.engine.estimate_valid(0));
+  EXPECT_EQ(sup.backoff_next, 2 * backoff);
+  EXPECT_EQ(rig.supervisor().stats().self_test_failures, 1);
+  EXPECT_EQ(counter("fleet.supervisor.self_test_failures") - failures_before,
+            1u);
+  // The other sensor is untouched.
+  EXPECT_EQ(rig.supervisor().state(1), NodeHealthState::kHealthy);
 }
 
 TEST(FleetSupervisor, TransientFaultRecoversThroughBackoff) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
@@ -148,9 +149,11 @@ long long closed_spans(const obs::TraceSnapshot& snap, std::string_view name) {
   return count;
 }
 
-// The quiescence contract: once parallel_for returns, every index's
-// `pool.task` span is closed and no worker emits another event, so a
-// snapshot taken there holds exactly n closed spans and nothing unmatched.
+// The quiescence contract: once parallel_for returns, the `team.epoch` span
+// of every worker that entered the job is closed and no worker emits another
+// event, so a snapshot taken there holds one closed span per entering worker
+// (at least the one that ran the first index; a worker that wakes after the
+// job has finished never enters) and nothing unmatched.
 TEST(ThreadPool, ReturnedParallelForLeavesNoOpenSpan) {
   ThreadPool pool{4};
   obs::TraceRecorder& recorder = obs::TraceRecorder::instance();
@@ -162,12 +165,51 @@ TEST(ThreadPool, ReturnedParallelForLeavesNoOpenSpan) {
       const obs::TraceSnapshot snap = recorder.snapshot();
       recorder.clear();
       EXPECT_EQ(snap.dropped_total, 0u) << "n " << n;
-      EXPECT_EQ(closed_spans(snap, "pool.task"), static_cast<long long>(n))
+      const long long stays = closed_spans(snap, "team.epoch");
+      EXPECT_GE(stays, 1) << "n " << n;  // -1 would mean an unmatched event
+      EXPECT_LE(stays, static_cast<long long>(pool.thread_count()))
           << "n " << n;
     }
   }
   obs::TraceRecorder::set_enabled(false);
   recorder.clear();
+}
+
+// Each worker's slot holds its stay in the job: it covers every body the
+// worker ran, and no stay outlasts the call. On a one-index job the worker
+// that runs the index is busy for the body; the others at most find the
+// cursor exhausted, or never enter.
+TEST(ThreadPool, ReportsEachWorkersBusyTime) {
+  using Clock = std::chrono::steady_clock;
+  ThreadPool pool{4};
+  std::atomic<long long> body_ns{0};
+  const auto t0 = Clock::now();
+  const std::vector<double> busy = pool.parallel_for(64, [&](std::size_t) {
+    const auto b0 = Clock::now();
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    body_ns.fetch_add(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - b0)
+            .count());
+  });
+  const double wall_s =
+      std::chrono::duration<double>(Clock::now() - t0).count();
+  ASSERT_EQ(busy.size(), pool.thread_count());
+  double total_s = 0.0;
+  for (const double s : busy) {
+    EXPECT_GE(s, 0.0);
+    total_s += s;
+  }
+  EXPECT_GE(total_s, static_cast<double>(body_ns.load()) * 1e-9);
+  EXPECT_LE(total_s, static_cast<double>(pool.thread_count()) * wall_s);
+
+  const std::vector<double> one = pool.parallel_for(1, [](std::size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  });
+  ASSERT_EQ(one.size(), pool.thread_count());
+  EXPECT_GE(*std::max_element(one.begin(), one.end()), 5e-3);
+  EXPECT_EQ(std::count_if(one.begin(), one.end(),
+                          [](double s) { return s < 1e-3; }),
+            static_cast<std::ptrdiff_t>(pool.thread_count() - 1));
 }
 
 }  // namespace
