@@ -24,6 +24,7 @@
 #include "common.hpp"
 #include "fault/campaign.hpp"
 #include "fleet/fleet.hpp"
+#include "hydro/replicated_district.hpp"
 #include "isif/channel.hpp"
 #include "maf/die.hpp"
 #include "obs/chrome_trace.hpp"
@@ -43,12 +44,12 @@ struct District {
   std::vector<fleet::SensorPlacement> placements;
 };
 
-// One sensor per pipe of bench::replicated_district — the "widely diffused"
+// One sensor per pipe of hydro::replicated_district — the "widely diffused"
 // deployment of paper §6. The largest fleet, the 10k completion run, puts
 // several probes on each pipe (at radius fractions 0, 0.09, ...) rather
 // than adding pipes; growing its network would move its committed checksum.
 District make_district(std::size_t replicas = 1, int probes_per_pipe = 1) {
-  District d{bench::replicated_district(replicas), {}};
+  District d{hydro::replicated_district(replicas), {}};
   for (hydro::WaterNetwork::PipeId p = 0; p < d.net.pipe_count(); ++p)
     for (int k = 0; k < probes_per_pipe; ++k)
       d.placements.push_back(fleet::SensorPlacement{p, 0.09 * k});

@@ -8,7 +8,6 @@
 
 #include "analog/amplifier.hpp"
 #include "analog/sigma_delta.hpp"
-#include "common.hpp"
 #include "core/cta.hpp"
 #include "core/rig.hpp"
 #include "dsp/biquad.hpp"
@@ -16,6 +15,7 @@
 #include "dsp/fir.hpp"
 #include "dsp/pid.hpp"
 #include "hydro/network.hpp"
+#include "hydro/replicated_district.hpp"
 #include "isif/channel.hpp"
 #include "isif/dac_ctrl.hpp"
 #include "maf/die.hpp"
@@ -257,12 +257,12 @@ void BM_NetworkSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkSolve)->Arg(6)->Arg(20);
 
-// bench::replicated_district at range(0) replicas: at 32, the 1024-unknown
+// hydro::replicated_district at range(0) replicas: at 32, the 1024-unknown
 // network of the end-to-end diurnal-dma workload. Times a warm solve, like
 // BM_NetworkSolve.
 void BM_NetworkSolveDistrict(benchmark::State& state) {
   const auto replicas = static_cast<std::size_t>(state.range(0));
-  hydro::WaterNetwork net = bench::replicated_district(replicas);
+  hydro::WaterNetwork net = hydro::replicated_district(replicas);
   for (auto _ : state) {
     benchmark::DoNotOptimize(net.solve());
   }

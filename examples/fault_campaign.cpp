@@ -235,51 +235,34 @@ int run_checkpoint_mode(const Options& opt) {
   if (!opt.checkpoint_dir.empty())
     manager.emplace(opt.checkpoint_dir, "campaign", 3);
 
-  District d = make_district();
-  fleet::FleetEngine engine(d.net, d.placements, make_config());
-  engine.set_shared_fit(cta::KingFit{0.9, 1.1, 0.5});
-
-  long long epoch = 0;
-  bool resumed = false;
+  std::optional<state::LoadedCheckpoint> loaded;
   if (!opt.resume_dir.empty()) {
-    state::CheckpointManager source{opt.resume_dir, "campaign", 3};
-    const auto loaded = source.load_newest_valid();
+    loaded = state::CheckpointManager{opt.resume_dir, "campaign", 3}
+                 .load_newest_valid();
     if (!loaded.has_value()) {
       std::fprintf(stderr, "no valid checkpoint under %s\n",
                    opt.resume_dir.c_str());
       return 1;
     }
-    // The restore target is a freshly constructed trio — no commissioning;
-    // the image carries the fully-commissioned state.
-    fleet::FleetSupervisor supervisor(engine, make_supervisor_config());
-    fault::CampaignRunner runner{engine, supervisor,
-                                 make_campaign(engine.size()),
-                                 kCampaignLength};
-    runner.restore(loaded->image);
-    epoch = static_cast<long long>(loaded->epoch);
-    resumed = true;
-    std::printf("resumed from %s at epoch %lld\n", loaded->path.c_str(),
-                epoch);
-    while (!runner.done()) {
-      runner.step();
-      ++epoch;
-      if (manager && opt.checkpoint_every > 0 &&
-          epoch % opt.checkpoint_every == 0)
-        manager->write(static_cast<std::uint64_t>(epoch), runner.checkpoint());
-    }
-    const fault::CampaignSummary s = runner.finish();
-    std::ofstream out(opt.json_path);
-    out << s.to_json();
-    std::printf("campaign complete (resumed): checksum %016llx, wrote %s\n",
-                static_cast<unsigned long long>(s.trace_checksum),
-                opt.json_path.c_str());
-    return 0;
   }
 
-  engine.commission(Seconds{0.3});
+  District d = make_district();
+  fleet::FleetEngine engine(d.net, d.placements, make_config());
+  engine.set_shared_fit(cta::KingFit{0.9, 1.1, 0.5});
+  // A restore targets a freshly constructed trio: the image carries the
+  // fully-commissioned state, so only a fresh run commissions.
+  if (!loaded) engine.commission(Seconds{0.3});
   fleet::FleetSupervisor supervisor(engine, make_supervisor_config());
   fault::CampaignRunner runner{engine, supervisor, make_campaign(engine.size()),
                                kCampaignLength};
+
+  long long epoch = 0;
+  if (loaded) {
+    runner.restore(loaded->image);
+    epoch = static_cast<long long>(loaded->epoch);
+    std::printf("resumed from %s at epoch %lld\n", loaded->path.c_str(),
+                epoch);
+  }
   while (!runner.done()) {
     runner.step();
     ++epoch;
@@ -296,7 +279,7 @@ int run_checkpoint_mode(const Options& opt) {
   std::ofstream out(opt.json_path);
   out << s.to_json();
   std::printf("campaign complete%s: checksum %016llx, wrote %s\n",
-              resumed ? " (resumed)" : "",
+              loaded ? " (resumed)" : "",
               static_cast<unsigned long long>(s.trace_checksum),
               opt.json_path.c_str());
   return 0;

@@ -39,7 +39,6 @@ class TurbineMeter final : public FlowMeter {
   [[nodiscard]] const MeterSpec& meter_spec() const override { return record_; }
   [[nodiscard]] const TurbineSpec& spec() const { return spec_; }
 
-  [[nodiscard]] double rotor_speed_rad_s() const { return omega_; }
   [[nodiscard]] bool stalled() const;
   [[nodiscard]] double total_revolutions() const { return revolutions_; }
   /// Wear-induced friction multiplier (1 when new).

@@ -116,11 +116,6 @@ Seconds CtaAnemometer::tick_period() const {
   return Seconds{1.0 / isif_.config().channel.modulator_clock.value()};
 }
 
-Hertz CtaAnemometer::control_rate() const {
-  return Hertz{isif_.config().channel.modulator_clock.value() /
-               isif_.config().channel.decimation};
-}
-
 CtaAnemometer::PlantTerms CtaAnemometer::plant_terms(
     const maf::Environment& env) {
   const Seconds dt = tick_period();

@@ -144,7 +144,6 @@ class CtaAnemometer {
   void reboot();
 
   [[nodiscard]] util::Seconds tick_period() const;
-  [[nodiscard]] util::Hertz control_rate() const;
   [[nodiscard]] util::Seconds now() const { return t_; }
 
   // --- measurands ------------------------------------------------------------
@@ -161,9 +160,6 @@ class CtaAnemometer {
   [[nodiscard]] util::Kelvin sensed_ambient() const;
   /// Raw PI output in [pi_min, pi_max].
   [[nodiscard]] double control_output() const { return u_; }
-  /// True while the pulsed drive is in its powered phase (always true when
-  /// pulsing is disabled).
-  [[nodiscard]] bool drive_phase_on() const { return phase_on_; }
 
   [[nodiscard]] CtaStatus status() const;
 
@@ -179,8 +175,6 @@ class CtaAnemometer {
   [[nodiscard]] maf::Package& package() { return package_; }
   [[nodiscard]] isif::Isif& platform() { return isif_; }
   [[nodiscard]] const CtaConfig& config() const { return config_; }
-  /// The balancing top resistor picked at construction (arm A).
-  [[nodiscard]] util::Ohms top_resistor_a() const { return top_a_; }
 
   /// Checkpoint support: the whole loop's evolving state — plant (die,
   /// package), platform, controller, filters, timers, commissioning null,

@@ -74,7 +74,6 @@ class LeakLocalizer {
   /// networks may fail to converge under a large synthetic leak). Call before
   /// calibrate().
   void set_probe_emitter(double coefficient) { probe_emitter_ = coefficient; }
-  [[nodiscard]] double probe_emitter() const { return probe_emitter_; }
 
  private:
   hydro::WaterNetwork& net_;

@@ -29,7 +29,6 @@ class Goertzel {
   /// Complex DFT bin value (normalised so a unit sine yields magnitude 1).
   [[nodiscard]] std::complex<double> bin() const { return result_; }
 
-  [[nodiscard]] std::size_t block_size() const { return block_; }
   void reset();
 
  private:

@@ -18,7 +18,6 @@ class Nco {
   double next();
 
   void set_frequency(util::Hertz frequency);
-  void set_amplitude(double amplitude) { amplitude_ = amplitude; }
   void reset_phase() { phase_ = 0; }
 
   [[nodiscard]] util::Hertz frequency() const;

@@ -165,9 +165,8 @@ class CampaignRunner {
   /// Advances one epoch (throws std::logic_error once done()).
   void step(util::ThreadPool* pool = nullptr);
   [[nodiscard]] bool done() const { return epoch_ >= total_epochs_; }
-  /// Epochs completed so far / scheduled in total.
+  /// Epochs completed so far.
   [[nodiscard]] long long epoch() const { return epoch_; }
-  [[nodiscard]] long long total_epochs() const { return total_epochs_; }
 
   /// Aggregates the summary tail (detection/recovery tallies, flap scan,
   /// trace checksum). Call once, after done().

@@ -43,7 +43,6 @@ class DacController {
   /// at 1.0 the output path executes no extra floating-point operation, so a
   /// compiled-in-but-inactive brownout cannot perturb the bitstream.
   void set_supply_droop(double factor);
-  [[nodiscard]] double supply_droop() const { return droop_; }
 
   [[nodiscard]] int current_code() const { return dac_.code(); }
   [[nodiscard]] int target_code() const { return target_; }

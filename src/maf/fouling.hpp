@@ -83,7 +83,6 @@ class FoulingState {
   void set_deposit_thickness(double thickness_m);
 
   [[nodiscard]] const FoulingParameters& parameters() const { return params_; }
-  void set_parameters(const FoulingParameters& p) { params_ = p; }
 
   /// Checkpoint support: the two surface states, bypassing the clamping
   /// setters so restore is exact. load_state refuses what no running surface

@@ -50,8 +50,9 @@ std::string escape_json_string(std::string_view s) {
 std::string json_double(double v) {
   // JSON has no NaN/Infinity literals; emitting printf's "nan"/"inf" would
   // produce a document every conforming parser rejects. A non-finite metric
-  // (poisoned gauge, uninitialised min/max) becomes null so the export stays
-  // machine-readable and the hole stays visible.
+  // (a histogram sum poisoned by a NaN sample, an uninitialised min/max)
+  // becomes null so the export stays machine-readable and the hole stays
+  // visible.
   if (!std::isfinite(v)) return "null";
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.17g", v);
@@ -126,12 +127,6 @@ std::string to_json(const Snapshot& snapshot, int indent) {
   emit_map(w, "counters", snapshot.counters,
            [&](const CounterSnapshot& c, bool comma) {
              w.line(quote(c.name) + ": " + std::to_string(c.value) +
-                    (comma ? "," : ""));
-           },
-           true);
-  emit_map(w, "gauges", snapshot.gauges,
-           [&](const GaugeSnapshot& g, bool comma) {
-             w.line(quote(g.name) + ": " + fmt_double(g.value) +
                     (comma ? "," : ""));
            },
            true);

@@ -1,6 +1,6 @@
 // json.hpp — machine-readable export of an obs::Snapshot. The emitted object
 // is the `metrics` block of the BENCH_fleet.json schema (see bench_fleet and
-// DESIGN.md §8): counters and gauges as name→value maps, histograms as
+// DESIGN.md §8): counters as a name→value map, histograms as
 // {edges, counts, count, sum, min, max}. Keys are sorted, doubles are printed
 // round-trip exact (%.17g), so the output is stable for diffing between runs.
 #pragma once

@@ -96,11 +96,6 @@ std::uint32_t Registry::register_counter(std::string_view name) {
   return intern(counter_names_, name, kMaxCounters, "counter");
 }
 
-std::uint32_t Registry::register_gauge(std::string_view name) {
-  std::lock_guard lock{mutex_};
-  return intern(gauge_names_, name, kMaxGauges, "gauge");
-}
-
 std::uint32_t Registry::register_histogram(std::string_view name,
                                            const HistogramSpec& spec) {
   std::lock_guard lock{mutex_};
@@ -136,16 +131,6 @@ void Registry::counter_add(std::uint32_t slot, std::uint64_t delta) {
   local_shard().counters[slot].fetch_add(delta, std::memory_order_relaxed);
 }
 
-void Registry::gauge_set(std::uint32_t slot, double value) {
-  GaugeCell& cell = local_shard().gauges[slot];
-  // Version before value: a torn scrape can at worst attribute a fresh value
-  // to an older version, never invent one.
-  const std::uint64_t v =
-      gauge_sequence_.fetch_add(1, std::memory_order_relaxed) + 1;
-  cell.value.store(value, std::memory_order_relaxed);
-  cell.version.store(v, std::memory_order_relaxed);
-}
-
 void Registry::histogram_observe(std::uint32_t slot, double value) {
   // Binning meta is immutable after registration; read it without the lock.
   const HistogramMeta& meta = histogram_meta_[slot];
@@ -179,9 +164,6 @@ Snapshot Registry::snapshot() {
   snap.counters.resize(counter_names_.size());
   for (std::size_t i = 0; i < counter_names_.size(); ++i)
     snap.counters[i].name = counter_names_[i];
-  snap.gauges.resize(gauge_names_.size());
-  for (std::size_t i = 0; i < gauge_names_.size(); ++i)
-    snap.gauges[i].name = gauge_names_[i];
   snap.histograms.resize(histogram_names_.size());
   for (std::size_t i = 0; i < histogram_names_.size(); ++i) {
     HistogramSnapshot& h = snap.histograms[i];
@@ -191,20 +173,10 @@ Snapshot Registry::snapshot() {
     h.counts.assign(static_cast<std::size_t>(h.spec.bins) + 2, 0);
   }
 
-  std::vector<std::uint64_t> gauge_versions(gauge_names_.size(), 0);
   for (const auto& shard : shards_) {
     for (std::size_t i = 0; i < snap.counters.size(); ++i)
       snap.counters[i].value +=
           shard->counters[i].load(std::memory_order_relaxed);
-    for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
-      const std::uint64_t v =
-          shard->gauges[i].version.load(std::memory_order_relaxed);
-      if (v > gauge_versions[i]) {
-        gauge_versions[i] = v;
-        snap.gauges[i].value =
-            shard->gauges[i].value.load(std::memory_order_relaxed);
-      }
-    }
     for (std::size_t i = 0; i < snap.histograms.size(); ++i) {
       HistogramSnapshot& h = snap.histograms[i];
       const HistogramCell& cell = shard->histograms[i];
@@ -223,17 +195,12 @@ Snapshot Registry::snapshot() {
 
   const auto by_name = [](const auto& a, const auto& b) { return a.name < b.name; };
   std::sort(snap.counters.begin(), snap.counters.end(), by_name);
-  std::sort(snap.gauges.begin(), snap.gauges.end(), by_name);
   std::sort(snap.histograms.begin(), snap.histograms.end(), by_name);
   return snap;
 }
 
 void Registry::zero_shard(Shard& shard) {
   for (auto& c : shard.counters) c.store(0, std::memory_order_relaxed);
-  for (auto& g : shard.gauges) {
-    g.value.store(0.0, std::memory_order_relaxed);
-    g.version.store(0, std::memory_order_relaxed);
-  }
   for (auto& h : shard.histograms) {
     for (auto& b : h.buckets) b.store(0, std::memory_order_relaxed);
     h.count.store(0, std::memory_order_relaxed);
@@ -257,14 +224,9 @@ void Registry::restore_counter(std::string_view name, std::uint64_t value) {
   mine.counters[slot].fetch_add(value - current, std::memory_order_relaxed);
 }
 
-void Registry::restore_gauge(std::string_view name, double value) {
-  gauge_set(register_gauge(name), value);
-}
-
 void Registry::zero() {
   std::lock_guard lock{mutex_};
   for (const auto& shard : shards_) zero_shard(*shard);
-  gauge_sequence_.store(0, std::memory_order_relaxed);
 }
 
 ScopedTimer::ScopedTimer(const Histogram& histogram)

@@ -1,5 +1,5 @@
 // metrics.hpp — deterministic, near-zero-overhead telemetry for the datapath
-// and the fleet engine: a process-wide registry of named counters, gauges and
+// and the fleet engine: a process-wide registry of named counters and
 // fixed-bin streaming histograms.
 //
 // Design constraints (DESIGN.md §8):
@@ -19,7 +19,7 @@
 //    by the peak number of live threads.
 //
 //  * Registration is by name and idempotent; capacity is fixed at compile
-//    time (kMaxCounters/kMaxGauges/kMaxHistograms) so shard storage never
+//    time (kMaxCounters/kMaxHistograms) so shard storage never
 //    reallocates under a concurrent writer.
 //
 // Typical instrumentation site (function-local static: registers once,
@@ -56,11 +56,6 @@ struct CounterSnapshot {
   std::uint64_t value = 0;
 };
 
-struct GaugeSnapshot {
-  std::string name;
-  double value = 0.0;
-};
-
 struct HistogramSnapshot {
   std::string name;
   HistogramSpec spec{};
@@ -78,14 +73,12 @@ struct HistogramSnapshot {
 /// One merged scrape of every registered metric, sorted by name.
 struct Snapshot {
   std::vector<CounterSnapshot> counters;
-  std::vector<GaugeSnapshot> gauges;
   std::vector<HistogramSnapshot> histograms;
 };
 
 class Registry {
  public:
   static constexpr std::uint32_t kMaxCounters = 192;
-  static constexpr std::uint32_t kMaxGauges = 64;
   static constexpr std::uint32_t kMaxHistograms = 32;
   static constexpr int kMaxBins = 96;
 
@@ -96,13 +89,11 @@ class Registry {
   /// Registers (or looks up) a metric by name; throws std::length_error past
   /// the fixed capacity. Histogram specs are fixed by the first registration.
   std::uint32_t register_counter(std::string_view name);
-  std::uint32_t register_gauge(std::string_view name);
   std::uint32_t register_histogram(std::string_view name,
                                    const HistogramSpec& spec);
 
   // Hot paths: no-ops while collection is disabled.
   void counter_add(std::uint32_t slot, std::uint64_t delta);
-  void gauge_set(std::uint32_t slot, double value);
   void histogram_observe(std::uint32_t slot, double value);
 
   /// Merges every shard (live and donated) into one snapshot, sorted by name.
@@ -119,8 +110,6 @@ class Registry {
   /// against the free-list. Registers the name if unseen. Callers must
   /// quiesce instrumented threads first, as with zero().
   void restore_counter(std::string_view name, std::uint64_t value);
-  /// Checkpoint support: last-write-wins restore of a named gauge.
-  void restore_gauge(std::string_view name, double value);
 
   /// Collection switch (default on). Purely additive: the simulation datapath
   /// is identical either way — that is the determinism guarantee, not a
@@ -133,10 +122,6 @@ class Registry {
   }
 
  private:
-  struct GaugeCell {
-    std::atomic<double> value{0.0};
-    std::atomic<std::uint64_t> version{0};  // global write sequence
-  };
   struct HistogramCell {
     std::array<std::atomic<std::uint64_t>, kMaxBins + 2> buckets{};
     std::atomic<std::uint64_t> count{0};
@@ -146,7 +131,6 @@ class Registry {
   };
   struct Shard {
     std::array<std::atomic<std::uint64_t>, kMaxCounters> counters{};
-    std::array<GaugeCell, kMaxGauges> gauges{};
     std::array<HistogramCell, kMaxHistograms> histograms{};
   };
   /// Pre-resolved binning of one histogram (immutable after registration).
@@ -168,12 +152,10 @@ class Registry {
 
   std::mutex mutex_;  // registration + shard list + scrape
   std::vector<std::string> counter_names_;
-  std::vector<std::string> gauge_names_;
   std::vector<std::string> histogram_names_;
   std::vector<HistogramMeta> histogram_meta_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<Shard*> free_shards_;
-  std::atomic<std::uint64_t> gauge_sequence_{0};
 };
 
 /// Monotonic event counter. Copyable handle; registration happens once in the
@@ -184,20 +166,6 @@ class Counter {
       : slot_(Registry::instance().register_counter(name)) {}
   void add(std::uint64_t delta = 1) const {
     if (Registry::enabled()) Registry::instance().counter_add(slot_, delta);
-  }
-
- private:
-  std::uint32_t slot_;
-};
-
-/// Last-write-wins instantaneous value (merge picks the most recent write
-/// across shards).
-class Gauge {
- public:
-  explicit Gauge(std::string_view name)
-      : slot_(Registry::instance().register_gauge(name)) {}
-  void set(double value) const {
-    if (Registry::enabled()) Registry::instance().gauge_set(slot_, value);
   }
 
  private:

@@ -25,14 +25,6 @@ struct FluidProperties {
   [[nodiscard]] double prandtl() const {
     return specific_heat * dynamic_viscosity / thermal_conductivity;
   }
-  /// Kinematic viscosity mu/rho.
-  [[nodiscard]] double kinematic_viscosity() const {
-    return dynamic_viscosity / density;
-  }
-  /// Thermal diffusivity k/(rho·cp).
-  [[nodiscard]] double thermal_diffusivity() const {
-    return thermal_conductivity / (density * specific_heat);
-  }
 };
 
 /// Liquid water at temperature `t` (validated 0–90 °C). Pressure dependence of

@@ -1,24 +1,12 @@
-// integrator.hpp — explicit fixed-step ODE integration for the non-stiff
-// mechanical models (turbine rotor, valve/pump actuators). The stiff thermal
-// side, the MAF die, steps its own exponential-Euler network instead.
+// integrator.hpp — the first-order lag (one-pole) tracker, stepped
+// analytically: the valve actuator, the amplifier poles, the RC filters, the
+// DAC output buffer and the baseline meters' damping all run on it. The stiff
+// thermal side, the MAF die, steps its own exponential-Euler network instead.
 #pragma once
-
-#include <functional>
-#include <span>
 
 #include "util/units.hpp"
 
 namespace aqua::sim {
-
-/// dy/dt = f(t, y) with y and the derivative as spans of equal length.
-using OdeRhs =
-    std::function<void(double t, std::span<const double> y, std::span<double> dydt)>;
-
-/// One classic RK4 step of size dt, in place.
-void rk4_step(const OdeRhs& f, double t, util::Seconds dt, std::span<double> y);
-
-/// One forward-Euler step (for cheap, heavily-oversampled loops).
-void euler_step(const OdeRhs& f, double t, util::Seconds dt, std::span<double> y);
 
 /// First-order lag (one-pole) tracker: analytic step of
 /// dy/dt = (target − y)/tau. Robust for any dt/tau ratio; the workhorse for

@@ -134,7 +134,6 @@ class CheckpointManager {
   [[nodiscard]] std::optional<LoadedCheckpoint> load_newest_valid() const;
 
   [[nodiscard]] const std::string& dir() const { return dir_; }
-  [[nodiscard]] std::size_t retain() const { return retain_; }
 
  private:
   [[nodiscard]] std::string path_for(std::uint64_t epoch) const;

@@ -61,7 +61,6 @@ class Writer {
 
   [[nodiscard]] std::span<const std::uint8_t> view() const { return buf_; }
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
-  [[nodiscard]] std::size_t bytes_written() const { return buf_.size(); }
 
  private:
   template <class T>

@@ -22,7 +22,6 @@ class Table {
   void add_row(std::vector<Cell> cells);
 
   [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
-  [[nodiscard]] const std::vector<std::string>& column_names() const { return cols_; }
 
   /// Renders an aligned, boxed console table.
   void print(std::ostream& os) const;

@@ -117,7 +117,6 @@ constexpr Hertz hertz(double v) { return Hertz{v}; }
 constexpr Volts volts(double v) { return Volts{v}; }
 constexpr Volts millivolts(double v) { return Volts{v * 1e-3}; }
 constexpr Amperes amperes(double v) { return Amperes{v}; }
-constexpr Amperes milliamperes(double v) { return Amperes{v * 1e-3}; }
 constexpr Ohms ohms(double v) { return Ohms{v}; }
 constexpr Watts watts(double v) { return Watts{v}; }
 constexpr Watts milliwatts(double v) { return Watts{v * 1e-3}; }

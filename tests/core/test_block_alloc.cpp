@@ -17,8 +17,8 @@
 
 #include "core/cta.hpp"
 #include "core/rig.hpp"
-#include "../hydro/replicated_district.hpp"
 #include "fleet/sensor_node.hpp"
+#include "hydro/replicated_district.hpp"
 #include "isif/channel.hpp"
 #include "isif/platform.hpp"
 #include "maf/die.hpp"

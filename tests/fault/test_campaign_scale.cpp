@@ -14,9 +14,9 @@
 #include "fault/campaign.hpp"
 #include "fleet/fleet.hpp"
 #include "fleet/supervisor.hpp"
+#include "hydro/replicated_district.hpp"
 #include "util/thread_pool.hpp"
 
-#include "../hydro/replicated_district.hpp"
 
 namespace aqua::fault {
 namespace {

@@ -13,11 +13,11 @@
 #include "core/rig.hpp"
 #include "fault/campaign.hpp"
 #include "fleet/fleet.hpp"
+#include "hydro/replicated_district.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/thread_pool.hpp"
 
-#include "../hydro/replicated_district.hpp"
 
 namespace aqua::fleet {
 namespace {

@@ -10,8 +10,8 @@
 
 #include "fleet/fleet.hpp"
 #include "hydro/profiles.hpp"
+#include "hydro/replicated_district.hpp"
 #include "phys/fluid.hpp"
-#include "replicated_district.hpp"
 
 namespace aqua::hydro {
 namespace {

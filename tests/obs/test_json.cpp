@@ -8,6 +8,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "json_validate.hpp"
 #include "obs/json.hpp"
@@ -15,6 +16,31 @@
 namespace {
 
 using namespace aqua;
+
+/// A one-sample histogram whose merged sum is `sum`.
+obs::HistogramSnapshot histogram_with_sum(std::string name, double sum) {
+  obs::HistogramSnapshot h;
+  h.name = std::move(name);
+  h.upper_edges = {1.0};
+  h.counts = {0, 1, 0};
+  h.count = 1;
+  h.sum = sum;
+  h.min = 0.5;
+  h.max = 0.5;
+  return h;
+}
+
+/// The text of `key`'s value in the object exported under `name`.
+std::string value_in(const std::string& json, const std::string& name,
+                     const std::string& key) {
+  const std::size_t object = json.find("\"" + name + "\": {");
+  if (object == std::string::npos) return "";
+  const std::string field = "\"" + key + "\": ";
+  const std::size_t pos = json.find(field, object);
+  if (pos == std::string::npos) return "";
+  const std::size_t begin = pos + field.size();
+  return json.substr(begin, json.find_first_of(",\n", begin) - begin);
+}
 
 TEST(ObsJsonEscaping, QuoteBackslashAndControlCharsInNames) {
   obs::Snapshot snap;
@@ -24,7 +50,7 @@ TEST(ObsJsonEscaping, QuoteBackslashAndControlCharsInNames) {
   nul_name += '\0';
   nul_name += "byte";
   snap.counters.push_back({nul_name, 3});
-  snap.gauges.push_back({"backspace\bformfeed\f", 4.5});
+  snap.counters.push_back({"backspace\bformfeed\f", 4});
 
   const std::string json = obs::to_json(snap);
   EXPECT_TRUE(aqua::testing::JsonValidator::valid(json)) << json;
@@ -85,7 +111,7 @@ TEST(ObsJsonDoubles, RoundTripExactFormatting) {
 }
 
 TEST(ObsJsonDoubles, NonFiniteValuesBecomeNull) {
-  // JSON has no NaN/Infinity literals — a poisoned gauge must not make the
+  // JSON has no NaN/Infinity literals — a poisoned metric must not make the
   // whole export unparseable.
   EXPECT_EQ(obs::json_double(std::numeric_limits<double>::quiet_NaN()), "null");
   EXPECT_EQ(obs::json_double(-std::numeric_limits<double>::quiet_NaN()),
@@ -97,29 +123,25 @@ TEST(ObsJsonDoubles, NonFiniteValuesBecomeNull) {
   EXPECT_NE(obs::json_double(-0.0), "null");
 }
 
-TEST(ObsJsonDoubles, NaNGaugeStillProducesValidJson) {
+TEST(ObsJsonDoubles, NaNHistogramSumStillProducesValidJson) {
   obs::Snapshot snap;
-  snap.gauges.push_back({"poisoned.gauge",
-                         std::numeric_limits<double>::quiet_NaN()});
-  snap.gauges.push_back({"fine.gauge", 1.25});
+  snap.histograms.push_back(histogram_with_sum(
+      "poisoned.hist", std::numeric_limits<double>::quiet_NaN()));
+  snap.histograms.push_back(histogram_with_sum("fine.hist", 1.25));
   const std::string json = obs::to_json(snap);
   EXPECT_TRUE(aqua::testing::JsonValidator::valid(json)) << json;
-  EXPECT_NE(json.find("\"poisoned.gauge\": null"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"fine.gauge\": 1.25"), std::string::npos) << json;
+  EXPECT_EQ(value_in(json, "poisoned.hist", "sum"), "null") << json;
+  EXPECT_EQ(value_in(json, "fine.hist", "sum"), "1.25") << json;
   EXPECT_EQ(json.find("nan"), std::string::npos);
 }
 
-TEST(ObsJsonDoubles, GaugeValuesRoundTripThroughFullExport) {
+TEST(ObsJsonDoubles, HistogramSumRoundTripsThroughFullExport) {
   const double v = 0.30000000000000004;  // classic 0.1+0.2 artefact
   obs::Snapshot snap;
-  snap.gauges.push_back({"precise.gauge", v});
-  const std::string json = obs::to_json(snap);
-  const std::size_t pos = json.find("\"precise.gauge\": ");
-  ASSERT_NE(pos, std::string::npos);
-  const double back =
-      std::strtod(json.c_str() + pos + std::strlen("\"precise.gauge\": "),
-                  nullptr);
-  EXPECT_EQ(back, v);
+  snap.histograms.push_back(histogram_with_sum("precise.hist", v));
+  const std::string text = value_in(obs::to_json(snap), "precise.hist", "sum");
+  ASSERT_FALSE(text.empty());
+  EXPECT_EQ(std::strtod(text.c_str(), nullptr), v);
 }
 
 }  // namespace

@@ -26,13 +26,6 @@ const obs::CounterSnapshot* find_counter(const obs::Snapshot& snap,
   return nullptr;
 }
 
-const obs::GaugeSnapshot* find_gauge(const obs::Snapshot& snap,
-                                     const std::string& name) {
-  for (const auto& g : snap.gauges)
-    if (g.name == name) return &g;
-  return nullptr;
-}
-
 const obs::HistogramSnapshot* find_histogram(const obs::Snapshot& snap,
                                              const std::string& name) {
   for (const auto& h : snap.histograms)
@@ -78,17 +71,6 @@ TEST(ObsCounter, DisabledCollectionDropsUpdates) {
   EXPECT_EQ(counter_value("test.counter.gated"), before);
   counter.add(1);
   EXPECT_EQ(counter_value("test.counter.gated"), before + 1);
-}
-
-TEST(ObsGauge, LastWriteWinsAcrossThreads) {
-  const obs::Gauge gauge{"test.gauge.lww"};
-  gauge.set(1.5);
-  // A later write from another thread (its own shard) must win the merge.
-  std::thread([&] { gauge.set(2.5); }).join();
-  const auto snap = obs::Registry::instance().snapshot();
-  const auto* g = find_gauge(snap, "test.gauge.lww");
-  ASSERT_NE(g, nullptr);
-  EXPECT_EQ(g->value, 2.5);
 }
 
 TEST(ObsHistogram, LinearBinningAndOverflow) {
@@ -186,17 +168,14 @@ TEST(ObsShards, ThreadTotalsMergeAndSurviveThreadExit) {
 
 TEST(ObsRegistry, ZeroClearsEveryMetricKind) {
   const obs::Counter counter{"test.zero.counter"};
-  const obs::Gauge gauge{"test.zero.gauge"};
   const obs::Histogram hist{"test.zero.hist",
                             obs::HistogramSpec{0.0, 1.0, 4, false}};
   counter.add(5);
-  gauge.set(3.0);
   hist.observe(0.5);
   obs::Registry::instance().zero();
 
   const auto snap = obs::Registry::instance().snapshot();
   EXPECT_EQ(find_counter(snap, "test.zero.counter")->value, 0u);
-  EXPECT_EQ(find_gauge(snap, "test.zero.gauge")->value, 0.0);
   const auto* hs = find_histogram(snap, "test.zero.hist");
   EXPECT_EQ(hs->count, 0u);
   for (const auto c : hs->counts) EXPECT_EQ(c, 0u);
@@ -272,7 +251,6 @@ TEST(ObsJson, SnapshotRendersSortedAndParsable) {
 
   const std::string json = obs::to_json(obs::Registry::instance().snapshot());
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"gauges\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
   EXPECT_NE(json.find("\"test.json.counter\""), std::string::npos);
   EXPECT_NE(json.find("\"upper_edges\""), std::string::npos);
